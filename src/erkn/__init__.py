@@ -14,7 +14,7 @@ from .methods import (
     erkn_step,
     stepper,
 )
-from .oscfun import BlockScalar, block_apply, block_eval, block_expand, phi_series, sinc
+from .oscfun import BlockScalar, block_expand, phi_series, sinc
 from .splitting import (
     ConjugacyReport,
     InconsistentFilter,
@@ -61,59 +61,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "METHODS",
-    "NU_GRID",
-    "ErknMethod",
-    "SymmetryReport",
-    "SymplecticityReport",
-    "check_symmetry",
-    "check_symplecticity",
-    "erkn_step",
-    "stepper",
-    "BlockScalar",
-    "block_apply",
-    "block_eval",
-    "block_expand",
-    "phi_series",
-    "sinc",
-    "ConjugacyReport",
-    "InconsistentFilter",
-    "NonSymmetricMethod",
-    "ResonantStepsize",
-    "TrigMethod",
-    "conjugacy_check",
-    "flow_kick",
-    "flow_linear",
-    "strang_lnl_step",
-    "trig_method_from",
-    "trig_step",
-    "trig_step_composed",
-    "trig_stepper",
-    "upsilon_from",
-    "Partition",
-    "State",
-    "System",
-    "finite_energy_check",
-    "fpu_initial",
-    "fpu_system",
-    "hamiltonian",
-    "linear_system",
-    "oscillatory_energy",
-    "AssumptionReport",
-    "DefectReport",
-    "DriftRecord",
-    "DriftStats",
-    "NonFiniteState",
-    "ZeroCoefficient",
-    "adjoint_defect",
-    "assumption_report",
-    "drift_series",
-    "drift_stats",
-    "non_resonance_max_N",
-    "sigma",
-    "sigma_bound_check",
-    "structure_defects",
-    "symplecticity_defect",
-]

@@ -13,23 +13,19 @@ CSV output is deterministic: 17 significant digits, '.' decimal separator,
 from __future__ import annotations
 
 import argparse
+import math
 import sys as _sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Optional, Sequence, TextIO, Union
 
-from .methods import METHODS, ErknMethod, check_symmetry, check_symplecticity
-from .splitting import (
-    InconsistentFilter,
-    NonSymmetricMethod,
-    ResonantStepsize,
-    TrigMethod,
-    trig_method_from,
-    upsilon_from,
-)
+from .methods import METHODS, check_symmetry, check_symplecticity
+from .splitting import InconsistentFilter, NonSymmetricMethod, trig_method_from, upsilon_from
 from .systems import Partition, fpu_system, linear_system
 from .verify import (
     DriftRecord,
+    DriftStats,
+    Method,
     NonFiniteState,
     assumption_report,
     drift_series,
@@ -60,7 +56,6 @@ class ExperimentConfig:
     t_end: float = 1000.0
     stride: int = 1
     output: Optional[str] = None
-    format: str = "csv"
 
 
 def _fmt(x: float) -> str:
@@ -71,7 +66,7 @@ def _gfmt(x: float) -> str:
     return format(float(x), "g")
 
 
-def resolve_method(name: str) -> Union[ErknMethod, TrigMethod]:
+def resolve_method(name: str) -> Method:
     """Registry lookup; 'trig:<name>' builds the conjugate kick-first scheme."""
     if name in METHODS:
         return METHODS[name]
@@ -102,47 +97,63 @@ def default_output_name(method: str, omega: float, h: float) -> str:
     return f"{method}_w{_gfmt(omega)}_h{_gfmt(h)}.csv"
 
 
-def cmd_run(
-    cfg: ExperimentConfig, out: Optional[TextIO] = None, err: Optional[TextIO] = None
-) -> int:
-    out = out if out is not None else _sys.stdout
-    err = err if err is not None else _sys.stderr
+def _resolve_or_report(name: str, err: TextIO) -> Optional[Method]:
+    """resolve_method, printing the error and returning None for an unusable name."""
     try:
-        method = resolve_method(cfg.method)
-        system = build_problem(cfg)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=err)
-        return EXIT_USAGE
-    except (NonSymmetricMethod, InconsistentFilter, ResonantStepsize) as exc:
-        print(f"error: {cfg.method}: {exc}", file=err)
-        return EXIT_USAGE
-    if cfg.h <= 0.0 or cfg.t_end < cfg.h or cfg.stride < 1:
-        print("error: need h > 0, t_end >= h, stride >= 1", file=err)
-        return EXIT_USAGE
+        return resolve_method(name)
+    except (KeyError, NonSymmetricMethod, InconsistentFilter) as exc:
+        print(f"error: {exc.args[0]}", file=err)  # the message names the method
+        return None
 
+
+def _run_experiment(
+    cfg: ExperimentConfig, method: Method, out: TextIO, err: TextIO
+) -> tuple[int, Optional[DriftStats]]:
+    """Build the problem, integrate it, write the drift CSV and return
+    (exit code, drift statistics); the run path shared by `run` and `sweep`.
+
+    Invalid input (a non-finite or out-of-range number, a problem size the
+    system rejects, h*omega on a pole of the kick filter) is a usage error,
+    reported before the output file is touched. A blow-up writes the finite
+    prefix and returns EXIT_BLOWUP with the statistics of that prefix.
+    """
     code = EXIT_OK
     try:
+        system = build_problem(cfg)
         records = drift_series(method, system, cfg.h, cfg.t_end, cfg.stride)
     except NonFiniteState as exc:
         print(f"warning: {exc}; writing partial series", file=err)
-        records = exc.records
-        code = EXIT_BLOWUP
+        records, code = exc.records, EXIT_BLOWUP
+    except (KeyError, ValueError) as exc:  # input checks, ResonantStepsize included
+        print(f"error: {cfg.method}: {exc.args[0]}", file=err)
+        return EXIT_USAGE, None
 
     output = cfg.output or default_output_name(cfg.method, cfg.omega, cfg.h)
     try:
         write_drift_csv(output, records)
     except OSError as exc:
         print(f"error: cannot write {output}: {exc}", file=err)
-        return EXIT_IO
-
-    stats = drift_stats(records)
+        return EXIT_IO, None
     print(f"wrote {output} ({len(records)} samples)", file=out)
-    print(
-        f"max|dH| = {stats.max_dH:.6g}  max|dI| = {stats.max_dI:.6g}  "
-        f"window ratio H = {stats.window_ratio_H:.6g}  "
-        f"window ratio I = {stats.window_ratio_I:.6g}",
-        file=out,
-    )
+    return code, drift_stats(records)
+
+
+def cmd_run(
+    cfg: ExperimentConfig, out: Optional[TextIO] = None, err: Optional[TextIO] = None
+) -> int:
+    out = out if out is not None else _sys.stdout
+    err = err if err is not None else _sys.stderr
+    method = _resolve_or_report(cfg.method, err)
+    if method is None:
+        return EXIT_USAGE
+    code, stats = _run_experiment(cfg, method, out, err)
+    if stats is not None:
+        print(
+            f"max|dH| = {stats.max_dH:.6g}  max|dI| = {stats.max_dI:.6g}  "
+            f"window ratio H = {stats.window_ratio_H:.6g}  "
+            f"window ratio I = {stats.window_ratio_I:.6g}",
+            file=out,
+        )
     return code
 
 
@@ -170,6 +181,10 @@ def cmd_check(
             f"error: unknown method {method_name!r}; valid: {', '.join(METHODS)}",
             file=err,
         )
+        return EXIT_USAGE
+    numbers = (h, omega, c, c0, sigma_lo, sigma_hi)
+    if not (all(map(math.isfinite, numbers)) and h > 0.0 and omega >= 0.0 and c > 0.0):
+        print("error: need finite numbers with h > 0, omega >= 0 and c > 0", file=err)
         return EXIT_USAGE
     m = METHODS[method_name]
     nu = h * omega
@@ -230,22 +245,17 @@ def cmd_sweep(
     out: Optional[TextIO] = None,
     err: Optional[TextIO] = None,
 ) -> int:
-    """One drift CSV per (method, omega, h) plus summary.csv; failures get
-    nan statistics rows and the sweep keeps going."""
+    """One drift CSV per (method, omega, h) plus summary.csv; blow-ups get
+    nan statistics rows and the sweep keeps going, while invalid input stops
+    it with EXIT_USAGE."""
     out = out if out is not None else _sys.stdout
     err = err if err is not None else _sys.stderr
     if not methods or not omegas or not hs:
         print("error: sweep needs at least one method, omega, and h", file=err)
         return EXIT_USAGE
-    for name in methods:
-        try:
-            resolve_method(name)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=err)
-            return EXIT_USAGE
-        except (NonSymmetricMethod, InconsistentFilter, ResonantStepsize) as exc:
-            print(f"error: {name}: {exc}", file=err)
-            return EXIT_USAGE
+    resolved = [(name, _resolve_or_report(name, err)) for name in methods]
+    if any(method is None for _, method in resolved):
+        return EXIT_USAGE
 
     outdir = Path(outdir)
     try:
@@ -256,42 +266,18 @@ def cmd_sweep(
 
     any_blowup = False
     rows = []
-    for name in methods:
+    for name, method in resolved:
         for omega in omegas:
             for h in hs:
-                cfg = ExperimentConfig(
-                    method=name,
-                    problem=problem,
-                    m=m,
-                    omega=omega,
-                    h=h,
-                    t_end=t_end,
-                    stride=stride,
-                )
-                method = resolve_method(name)
-                system = build_problem(cfg)
-                try:
-                    records = drift_series(method, system, h, t_end, stride)
-                    stats = drift_stats(records)
-                    stat_cols = [
-                        _fmt(stats.max_dH),
-                        _fmt(stats.max_dI),
-                        _fmt(stats.window_ratio_H),
-                        _fmt(stats.window_ratio_I),
-                    ]
-                except NonFiniteState as exc:
-                    print(f"warning: {exc}", file=err)
-                    records = exc.records
-                    stat_cols = ["nan", "nan", "nan", "nan"]
-                    any_blowup = True
-                path = outdir / default_output_name(name, omega, h)
-                try:
-                    write_drift_csv(path, records)
-                except OSError as exc:
-                    print(f"error: cannot write {path}: {exc}", file=err)
-                    return EXIT_IO
+                output = str(outdir / default_output_name(name, omega, h))
+                cfg = ExperimentConfig(method=name, problem=problem, m=m, omega=omega, h=h,
+                                       t_end=t_end, stride=stride, output=output)
+                code, stats = _run_experiment(cfg, method, out, err)
+                if code in (EXIT_USAGE, EXIT_IO):
+                    return code
+                any_blowup |= code == EXIT_BLOWUP
+                stat_cols = ["nan"] * 4 if code == EXIT_BLOWUP else map(_fmt, astuple(stats))
                 rows.append([name, _gfmt(omega), _gfmt(h), *stat_cols])
-                print(f"wrote {path}", file=out)
 
     try:
         with open(outdir / "summary.csv", "w", newline="") as fh:
@@ -319,15 +305,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Oscillatory-Hamiltonian integrator benchmarks and structure checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the trajectory settings that run and sweep share
+    trajectory = argparse.ArgumentParser(add_help=False)
+    trajectory.add_argument("--problem", default="fpu", choices=["fpu", "linear"])
+    trajectory.add_argument("--m", type=int, default=3, help="block size (d1 = d2 = m)")
+    trajectory.add_argument("--t-end", type=float, default=1000.0)
+    trajectory.add_argument("--stride", type=int, default=1)
 
-    run = sub.add_parser("run", help="integrate one trajectory and write a drift CSV")
+    run = sub.add_parser(
+        "run", parents=[trajectory], help="integrate one trajectory and write a drift CSV"
+    )
     run.add_argument("--method", required=True, help="registry name or trig:<name>")
-    run.add_argument("--problem", default="fpu", choices=["fpu", "linear"])
-    run.add_argument("--m", type=int, default=3, help="block size (d1 = d2 = m)")
     run.add_argument("--omega", type=float, default=None)
     run.add_argument("--h", type=float, default=None)
-    run.add_argument("--t-end", type=float, default=1000.0)
-    run.add_argument("--stride", type=int, default=1)
     run.add_argument("--output", "-o", default=None)
     run.add_argument(
         "--preset",
@@ -345,15 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--sigma-lo", type=float, default=0.1)
     check.add_argument("--sigma-hi", type=float, default=10.0)
 
-    sweep = sub.add_parser("sweep", help="run a method x omega x h grid")
+    sweep = sub.add_parser("sweep", parents=[trajectory], help="run a method x omega x h grid")
     sweep.add_argument("--methods", required=True, type=_str_list, help="comma separated")
     sweep.add_argument("--omegas", required=True, type=_float_list, help="comma separated")
     sweep.add_argument("--hs", required=True, type=_float_list, help="comma separated")
-    sweep.add_argument("--t-end", type=float, default=1000.0)
     sweep.add_argument("--outdir", required=True)
-    sweep.add_argument("--problem", default="fpu", choices=["fpu", "linear"])
-    sweep.add_argument("--m", type=int, default=3)
-    sweep.add_argument("--stride", type=int, default=1)
 
     return parser
 
@@ -367,17 +353,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
 
     if args.command == "run":
-        h, omega = args.h, args.omega
-        if args.preset is not None:
-            ph, pw = PRESETS[args.preset]
-            h = ph if h is None else h
-            omega = pw if omega is None else omega
+        h, omega = PRESETS.get(args.preset, (ExperimentConfig.h, ExperimentConfig.omega))
         cfg = ExperimentConfig(
             method=args.method,
             problem=args.problem,
             m=args.m,
-            omega=50.0 if omega is None else omega,
-            h=0.1 if h is None else h,
+            omega=omega if args.omega is None else args.omega,
+            h=h if args.h is None else args.h,
             t_end=args.t_end,
             stride=args.stride,
             output=args.output,
@@ -393,19 +375,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sigma_lo=args.sigma_lo,
             sigma_hi=args.sigma_hi,
         )
-    if args.command == "sweep":
-        return cmd_sweep(
-            args.methods,
-            args.omegas,
-            args.hs,
-            args.t_end,
-            args.outdir,
-            problem=args.problem,
-            m=args.m,
-            stride=args.stride,
-        )
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    return cmd_sweep(  # the parser admits no other command
+        args.methods,
+        args.omegas,
+        args.hs,
+        args.t_end,
+        args.outdir,
+        problem=args.problem,
+        m=args.m,
+        stride=args.stride,
+    )
 
 
 def console_main() -> None:

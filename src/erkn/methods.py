@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .oscfun import BlockScalar, block_expand, sinc
-from .systems import State, System
+from .systems import Partition, State, System
 
 # Default nu grid for the algebraic condition checkers: 0(0.1)10.
 NU_GRID: tuple[float, ...] = tuple(0.1 * k for k in range(101))
@@ -79,6 +79,60 @@ METHODS: dict[str, ErknMethod] = {
 }
 
 
+def rotation(
+    part: Partition, h: float, c: float = 1.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonals of the exact force-free flow over time c*h (h may be negative):
+    cos(c*h*Omega), c*h sinc(c*h*Omega) and Omega sin(c*h*Omega). The stage
+    node c multiplies nu = h*omega, not h, so the stage argument is c1 * nu."""
+    nu = c * (h * part.omega)
+    ch = c * h
+    return (
+        block_expand(BlockScalar(1.0, math.cos(nu)), part),
+        block_expand(BlockScalar(ch, ch * sinc(nu)), part),
+        block_expand(BlockScalar(0.0, part.omega * math.sin(nu)), part),
+    )
+
+
+def step_map(
+    sys: System,
+    h: float,
+    stage_q: np.ndarray,
+    stage_p: np.ndarray,
+    wq: np.ndarray,
+    wp: np.ndarray,
+    wp_new: Optional[np.ndarray] = None,
+) -> Callable[[State], State]:
+    """The one step kernel: the exact rotation over h plus a weighted force g
+    at the stage point Q = stage_q q + stage_p p,
+
+        q+ = cos(h*Omega) q + h sinc(h*Omega) p + wq g(Q)
+        p+ = -Omega sin(h*Omega) q + cos(h*Omega) p + wp g(Q) [+ wp_new g(stage_q q+)]
+
+    The bracketed second force evaluation, at the new position, is what the
+    kick-first scheme adds to a one-stage method. It is chosen here, once, so
+    the one-stage step carries no per-step test for it.
+    """
+    force = sys.force
+    cos_full, hsinc_full, omega_sin = rotation(sys.partition, h)
+
+    if wp_new is None:
+
+        def step(s: State) -> State:
+            gq = force(stage_q * s.q + stage_p * s.p)
+            qn = cos_full * s.q + hsinc_full * s.p + wq * gq
+            return State(qn, cos_full * s.p - omega_sin * s.q + wp * gq)
+
+        return step
+
+    def step_kick_first(s: State) -> State:
+        gq = force(stage_q * s.q + stage_p * s.p)
+        qn = cos_full * s.q + hsinc_full * s.p + wq * gq
+        return State(qn, cos_full * s.p - omega_sin * s.q + wp * gq + wp_new * force(stage_q * qn))
+
+    return step_kick_first
+
+
 def stepper(m: ErknMethod, sys: System, h: float) -> Callable[[State], State]:
     """Bind (method, system, h) into a one-step map.
 
@@ -87,23 +141,10 @@ def stepper(m: ErknMethod, sys: System, h: float) -> Callable[[State], State]:
     """
     part = sys.partition
     nu = h * part.omega
-    cn = m.c1 * nu
-    stage_cos = block_expand(BlockScalar(1.0, math.cos(cn)), part)
-    stage_hsinc = (m.c1 * h) * block_expand(BlockScalar(1.0, sinc(cn)), part)
-    cos_full = block_expand(BlockScalar(1.0, math.cos(nu)), part)
-    hsinc_full = h * block_expand(BlockScalar(1.0, sinc(nu)), part)
-    omega_sin = block_expand(BlockScalar(0.0, part.omega * math.sin(nu)), part)
+    stage_cos, stage_hsinc, _ = rotation(part, h, m.c1)
     h2_bbar = (h * h) * block_expand(BlockScalar(m.bbar(0.0), m.bbar(nu)), part)
     h_b = h * block_expand(BlockScalar(m.b(0.0), m.b(nu)), part)
-    force = sys.force
-
-    def step(s: State) -> State:
-        gq = force(stage_cos * s.q + stage_hsinc * s.p)
-        qn = cos_full * s.q + hsinc_full * s.p + h2_bbar * gq
-        pn = cos_full * s.p - omega_sin * s.q + h_b * gq
-        return State(qn, pn)
-
-    return step
+    return step_map(sys, h, stage_cos, stage_hsinc, h2_bbar, h_b)
 
 
 def erkn_step(m: ErknMethod, sys: System, h: float, s: State) -> State:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -59,23 +58,6 @@ class BlockScalar:
 
     slow: float
     fast: float
-
-
-def block_eval(f: Callable[[float], float], h: float, part: Partition) -> BlockScalar:
-    """Evaluate f on the spectrum of h*Omega: at 0 and at h*omega."""
-    return BlockScalar(f(0.0), f(h * part.omega))
-
-
-def block_apply(b: BlockScalar, v: np.ndarray, part: Partition) -> np.ndarray:
-    """Apply the block-diagonal operator: scale the first d1 entries of v by
-    b.slow and the remaining d2 by b.fast."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (part.dim,):
-        raise ValueError(f"vector of shape {v.shape} does not match partition dim {part.dim}")
-    out = v.copy()
-    out[: part.d1] *= b.slow
-    out[part.d1 :] *= b.fast
-    return out
 
 
 def block_expand(b: BlockScalar, part: Partition) -> np.ndarray:

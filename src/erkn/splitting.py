@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .methods import NU_GRID, ErknMethod, stepper
+from .methods import NU_GRID, ErknMethod, rotation, step_map, stepper
 from .oscfun import BlockScalar, block_expand, sinc
 from .systems import Partition, State, System
 
@@ -38,10 +38,7 @@ FILTER_POLE_TOL = 1e-8
 
 def flow_linear(part: Partition, h: float, s: State) -> State:
     """Exact flow of the force-free problem for time h (h may be negative)."""
-    nu = h * part.omega
-    c = block_expand(BlockScalar(1.0, math.cos(nu)), part)
-    hs = block_expand(BlockScalar(h, h * sinc(nu)), part)
-    osn = block_expand(BlockScalar(0.0, part.omega * math.sin(nu)), part)
+    c, hs, osn = rotation(part, h)
     return State(c * s.q + hs * s.p, c * s.p - osn * s.q)
 
 
@@ -161,23 +158,19 @@ def trig_stepper(tm: TrigMethod, sys: System, h: float) -> Callable[[State], Sta
     """
     part = sys.partition
     nu = h * part.omega
-    cos_full = block_expand(BlockScalar(1.0, math.cos(nu)), part)
-    hsinc_full = h * block_expand(BlockScalar(1.0, sinc(nu)), part)
-    omega_sin = block_expand(BlockScalar(0.0, part.omega * math.sin(nu)), part)
-    phi = block_expand(BlockScalar(tm.phi(0.0), tm.phi(nu)), part)
-    half_h2_psi = (0.5 * h * h) * block_expand(BlockScalar(tm.psi(0.0), tm.psi(nu)), part)
-    half_h_psi0 = (0.5 * h) * block_expand(BlockScalar(tm.psi0(0.0), tm.psi0(nu)), part)
-    half_h_psi1 = (0.5 * h) * block_expand(BlockScalar(tm.psi1(0.0), tm.psi1(nu)), part)
-    force = sys.force
 
-    def step(s: State) -> State:
-        g0 = force(phi * s.q)
-        qn = cos_full * s.q + hsinc_full * s.p + half_h2_psi * g0
-        g1 = force(phi * qn)
-        pn = cos_full * s.p - omega_sin * s.q + half_h_psi0 * g0 + half_h_psi1 * g1
-        return State(qn, pn)
+    def blocks(f: Callable[[float], float]) -> np.ndarray:
+        return block_expand(BlockScalar(f(0.0), f(nu)), part)
 
-    return step
+    return step_map(
+        sys,
+        h,
+        blocks(tm.phi),
+        np.zeros(part.dim),
+        (0.5 * h * h) * blocks(tm.psi),
+        (0.5 * h) * blocks(tm.psi0),
+        (0.5 * h) * blocks(tm.psi1),
+    )
 
 
 def trig_step(tm: TrigMethod, sys: System, h: float, s: State) -> State:
@@ -241,11 +234,7 @@ def conjugacy_check(m: ErknMethod, sys: System, h: float, s: State, n: int) -> C
     for _ in range(n - 1):
         inner = hat(inner)
     interior = flow_linear(part, 0.5 * h, kick(inner, 0.5 * h))
-
-    outer = entry
-    for _ in range(n):
-        outer = hat(outer)
-    shifted = flow_linear(part, -0.5 * h, kick(outer, -0.5 * h))
+    shifted = flow_linear(part, -0.5 * h, kick(hat(inner), -0.5 * h))
 
     dev_interior = _state_dev(ref, interior)
     dev_shifted = _state_dev(ref, shifted)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .methods import ErknMethod, stepper
 from .oscfun import sinc
-from .splitting import TrigMethod, trig_stepper
+from .splitting import TrigMethod, _state_dev, trig_stepper
 from .systems import State, System, hamiltonian, oscillatory_energy
 
 
@@ -43,12 +43,6 @@ class DefectReport:
 
 
 Method = Union[ErknMethod, TrigMethod]
-
-
-def _state_dev(a: State, b: State) -> float:
-    dq = float(np.max(np.abs(a.q - b.q)))
-    dp = float(np.max(np.abs(a.p - b.p)))
-    return dq if dq > dp else dp
 
 
 def _stepper_for(method: Method, sys: System, h: float):
@@ -179,9 +173,7 @@ def assumption_report(
     try:
         s0 = sigma(m, 0.0)
         s1 = sigma(m, nu)
-        direct = sigma_lo <= s0 <= sigma_hi and sigma_lo <= s1 <= sigma_hi
-        flipped = sigma_lo <= -s0 <= sigma_hi and sigma_lo <= -s1 <= sigma_hi
-        s_pass = direct or flipped
+        s_pass = sigma_bound_check(m, nu, sigma_lo, sigma_hi)
         s_err = None
     except ZeroCoefficient as exc:
         s0 = math.nan
@@ -231,8 +223,8 @@ def drift_series(
     the final step. Raises NonFiniteState (carrying the finite prefix) if the
     trajectory blows up.
     """
-    if h <= 0.0 or t_end < h:
-        raise ValueError("need h > 0 and t_end >= h")
+    if not (0.0 < h <= t_end and math.isfinite(t_end)):
+        raise ValueError("need finite h and t_end with 0 < h <= t_end")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if sys.initial is None:

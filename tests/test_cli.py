@@ -218,10 +218,48 @@ def test_main_explicit_flag_overrides_preset(tmp_path):
     assert len(out.read_text().splitlines()) == 12  # h = 0.1 kept, omega from preset
 
 
-def test_main_usage_exit_codes(capsys):
+# Invalid numeric input, as (command, arguments): each must exit 2 with one
+# error line, no traceback and no output file.
+INVALID_NUMBERS = [
+    ("run", ["--method", "ERKN2", "--omega", "nan"]),
+    ("run", ["--method", "ERKN2", "--omega", "0"]),
+    ("run", ["--method", "ERKN2", "--m", "0"]),
+    ("run", ["--method", "ERKN2", "--h", "nan"]),
+    ("run", ["--method", "ERKN2", "--t-end", "inf"]),
+    ("run", ["--method", "ERKN2", "--problem", "linear", "--m", "-1"]),
+    ("run", ["--method", "trig:ERKN3", "--h", "0.1", "--omega", "31.41592653589793"]),
+    ("sweep", ["--methods", "trig:ERKN3", "--hs", "0.1", "--omegas", "31.41592653589793"]),
+    ("sweep", ["--methods", "ERKN2", "--hs", "nan", "--omegas", "50"]),
+    ("sweep", ["--methods", "ERKN2", "--hs", "0.1", "--omegas", "-1"]),
+    ("check", ["ERKN2", "--h", "0"]),
+    ("check", ["ERKN2", "--h", "-0.1"]),
+    ("check", ["ERKN2", "--h", "nan"]),
+    ("check", ["ERKN2", "--c", "0"]),
+    ("check", ["ERKN2", "--omega", "inf"]),
+]
+
+
+def test_main_usage_exit_codes(tmp_path, capsys):
     assert main(["run"]) == EXIT_USAGE  # --method is required
     assert main([]) == EXIT_USAGE  # subcommand is required
     assert main(["check", "NOPE"]) == EXIT_USAGE
+    capsys.readouterr()
+    # a table looped inside this test rather than a parametrisation, so the
+    # test keeps its id; h*omega = pi is a pole of the kick filter
+    out = tmp_path / "out"
+    dest = {
+        "run": ["--t-end", "1", "-o", str(out)],
+        "sweep": ["--t-end", "1", "--outdir", str(out)],
+    }
+    for command, args in INVALID_NUMBERS:
+        argv = [command, *dest.get(command, []), *args]  # a later flag wins
+        assert main(argv) == EXIT_USAGE, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
+        assert not out.is_file() and not (out.is_dir() and any(out.iterdir())), argv
+    # the force-free problem needs no fast start, so omega = 0 stays valid
+    argv = ["run", "--method", "ERKN2", "--problem", "linear", "--omega", "0", "--t-end", "1"]
+    assert main([*argv, "-o", str(tmp_path / "lin.csv")]) == EXIT_OK
 
 
 def test_main_check_smoke(capsys):

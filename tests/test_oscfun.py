@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from erkn import BlockScalar, Partition, block_apply, block_eval, block_expand, phi_series, sinc
+from erkn import BlockScalar, Partition, block_expand, phi_series, sinc
 
 
 def sinc_rational(x: float) -> float:
@@ -70,47 +70,6 @@ def test_phi_series_rejects_bad_arguments():
         phi_series(-1, 1.0, 10)
     with pytest.raises(ValueError):
         phi_series(0, 1.0, 0)
-
-
-def test_block_eval_splits_slow_and_fast():
-    part = Partition(d1=2, d2=3, omega=50.0)
-    b = block_eval(math.cos, 0.1, part)
-    assert b.slow == 1.0
-    assert b.fast == math.cos(5.0)
-
-
-def test_block_apply_identity_and_zero():
-    part = Partition(d1=2, d2=2, omega=10.0)
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(4)
-    np.testing.assert_array_equal(block_apply(BlockScalar(1.0, 1.0), v, part), v)
-    np.testing.assert_array_equal(block_apply(BlockScalar(0.0, 0.0), v, part), np.zeros(4))
-
-
-def test_block_apply_scales_each_block():
-    part = Partition(d1=1, d2=2, omega=10.0)
-    v = np.array([1.0, 2.0, 3.0])
-    out = block_apply(BlockScalar(2.0, -1.0), v, part)
-    np.testing.assert_array_equal(out, [2.0, -2.0, -3.0])
-
-
-def test_block_apply_rejects_wrong_shape():
-    part = Partition(d1=1, d2=2, omega=10.0)
-    with pytest.raises(ValueError):
-        block_apply(BlockScalar(1.0, 1.0), np.zeros(4), part)
-
-
-def test_block_product_composes():
-    """Evaluating f*g in one block equals applying f's block then g's block."""
-    part = Partition(d1=1, d2=1, omega=7.0)
-    h = 0.3
-    f, g = math.cos, sinc
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(2)
-    combined = block_apply(block_eval(lambda x: f(x) * g(x), h, part), v, part)
-    chained = block_apply(block_eval(f, h, part), block_apply(block_eval(g, h, part), v, part), part)
-    for a, b in zip(combined, chained):
-        assert abs(a - b) <= 2 * np.spacing(abs(b))
 
 
 def test_block_expand_layout():
