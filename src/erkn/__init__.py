@@ -14,7 +14,7 @@ from .methods import (
     erkn_step,
     stepper,
 )
-from .oscfun import BlockScalar, block_expand, phi_series, sinc
+from .oscfun import block_expand, phi_series, sinc
 from .splitting import (
     ConjugacyReport,
     InconsistentFilter,

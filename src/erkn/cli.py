@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Optional, Sequence, TextIO, Union
 
-from .methods import METHODS, check_symmetry, check_symplecticity
+from .methods import METHODS, NU_GRID, check_symmetry, check_symplecticity
 from .splitting import InconsistentFilter, NonSymmetricMethod, trig_method_from, upsilon_from
 from .systems import Partition, fpu_system, linear_system
 from .verify import (
@@ -30,6 +30,7 @@ from .verify import (
     assumption_report,
     drift_series,
     drift_stats,
+    drift_stepper,
 )
 
 EXIT_OK = 0
@@ -106,27 +107,32 @@ def _resolve_or_report(name: str, err: TextIO) -> Optional[Method]:
         return None
 
 
+def _invalid(cfg: ExperimentConfig, method: Method, err: TextIO) -> bool:
+    """Check one trajectory's input the way `drift_series` will meet it and
+    print the error if it is invalid: a non-finite or out-of-range number, a
+    problem size the system rejects, h*omega on a pole of the kick filter."""
+    try:
+        drift_stepper(method, build_problem(cfg), cfg.h, cfg.t_end, cfg.stride)
+    except (KeyError, ValueError) as exc:  # ResonantStepsize included
+        print(f"error: {cfg.method}: {exc.args[0]}", file=err)
+        return True
+    return False
+
+
 def _run_experiment(
     cfg: ExperimentConfig, method: Method, out: TextIO, err: TextIO
 ) -> tuple[int, Optional[DriftStats]]:
     """Build the problem, integrate it, write the drift CSV and return
-    (exit code, drift statistics); the run path shared by `run` and `sweep`.
-
-    Invalid input (a non-finite or out-of-range number, a problem size the
-    system rejects, h*omega on a pole of the kick filter) is a usage error,
-    reported before the output file is touched. A blow-up writes the finite
-    prefix and returns EXIT_BLOWUP with the statistics of that prefix.
+    (exit code, drift statistics); the run path shared by `run` and `sweep`,
+    for input that `_invalid` passed. A blow-up writes the finite prefix and
+    returns EXIT_BLOWUP with the statistics of that prefix.
     """
     code = EXIT_OK
     try:
-        system = build_problem(cfg)
-        records = drift_series(method, system, cfg.h, cfg.t_end, cfg.stride)
+        records = drift_series(method, build_problem(cfg), cfg.h, cfg.t_end, cfg.stride)
     except NonFiniteState as exc:
         print(f"warning: {exc}; writing partial series", file=err)
         records, code = exc.records, EXIT_BLOWUP
-    except (KeyError, ValueError) as exc:  # input checks, ResonantStepsize included
-        print(f"error: {cfg.method}: {exc.args[0]}", file=err)
-        return EXIT_USAGE, None
 
     output = cfg.output or default_output_name(cfg.method, cfg.omega, cfg.h)
     try:
@@ -144,7 +150,7 @@ def cmd_run(
     out = out if out is not None else _sys.stdout
     err = err if err is not None else _sys.stderr
     method = _resolve_or_report(cfg.method, err)
-    if method is None:
+    if method is None or _invalid(cfg, method, err):
         return EXIT_USAGE
     code, stats = _run_experiment(cfg, method, out, err)
     if stats is not None:
@@ -158,13 +164,15 @@ def cmd_run(
 
 
 def _check_grid(nu: float) -> list[float]:
-    # default grid reaches 10; stretch it when the operating point is beyond
-    top = max(10.0, nu)
-    return [0.1 * k for k in range(int(round(10.0 * top)) + 1)]
+    """NU_GRID (0 to 10), stretched by at most 1000 evenly spaced points on
+    (10, nu] when the operating point nu lies beyond it; the last point is nu
+    itself, and the cost stays bounded however large h*omega is."""
+    n = min(1000, math.ceil(10.0 * (nu - 10.0)))
+    return [*NU_GRID, *(nu - (nu - 10.0) * (n - k) / n for k in range(1, n + 1))]
 
 
 def cmd_check(
-    method_name: str,
+    method: str,
     h: float = 0.1,
     omega: float = 50.0,
     c: float = 1.0,
@@ -176,19 +184,15 @@ def cmd_check(
 ) -> int:
     out = out if out is not None else _sys.stdout
     err = err if err is not None else _sys.stderr
-    if method_name not in METHODS:
-        print(
-            f"error: unknown method {method_name!r}; valid: {', '.join(METHODS)}",
-            file=err,
-        )
+    if method not in METHODS:
+        print(f"error: unknown method {method!r}; valid: {', '.join(METHODS)}", file=err)
         return EXIT_USAGE
-    numbers = (h, omega, c, c0, sigma_lo, sigma_hi)
+    numbers = (h, omega, h * omega, c, c0, sigma_lo, sigma_hi)
     if not (all(map(math.isfinite, numbers)) and h > 0.0 and omega >= 0.0 and c > 0.0):
         print("error: need finite numbers with h > 0, omega >= 0 and c > 0", file=err)
         return EXIT_USAGE
-    m = METHODS[method_name]
-    nu = h * omega
-    grid = _check_grid(nu)
+    m = METHODS[method]
+    grid = _check_grid(h * omega)
 
     sym = check_symmetry(m, grid=grid)
     print(f"method {m.name}: c1 = {m.c1:g}", file=out)
@@ -246,8 +250,9 @@ def cmd_sweep(
     err: Optional[TextIO] = None,
 ) -> int:
     """One drift CSV per (method, omega, h) plus summary.csv; blow-ups get
-    nan statistics rows and the sweep keeps going, while invalid input stops
-    it with EXIT_USAGE."""
+    nan statistics rows and the sweep keeps going. Every cell is checked
+    before anything is written, so invalid input returns EXIT_USAGE and
+    leaves no output."""
     out = out if out is not None else _sys.stdout
     err = err if err is not None else _sys.stderr
     if not methods or not omegas or not hs:
@@ -256,8 +261,16 @@ def cmd_sweep(
     resolved = [(name, _resolve_or_report(name, err)) for name in methods]
     if any(method is None for _, method in resolved):
         return EXIT_USAGE
-
     outdir = Path(outdir)
+    cells = [
+        (method, ExperimentConfig(method=name, problem=problem, m=m, omega=omega, h=h,
+                                  t_end=t_end, stride=stride,
+                                  output=str(outdir / default_output_name(name, omega, h))))
+        for name, method in resolved for omega in omegas for h in hs
+    ]
+    if any(_invalid(cfg, method, err) for method, cfg in cells):
+        return EXIT_USAGE
+
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -266,18 +279,13 @@ def cmd_sweep(
 
     any_blowup = False
     rows = []
-    for name, method in resolved:
-        for omega in omegas:
-            for h in hs:
-                output = str(outdir / default_output_name(name, omega, h))
-                cfg = ExperimentConfig(method=name, problem=problem, m=m, omega=omega, h=h,
-                                       t_end=t_end, stride=stride, output=output)
-                code, stats = _run_experiment(cfg, method, out, err)
-                if code in (EXIT_USAGE, EXIT_IO):
-                    return code
-                any_blowup |= code == EXIT_BLOWUP
-                stat_cols = ["nan"] * 4 if code == EXIT_BLOWUP else map(_fmt, astuple(stats))
-                rows.append([name, _gfmt(omega), _gfmt(h), *stat_cols])
+    for method, cfg in cells:
+        code, stats = _run_experiment(cfg, method, out, err)
+        if code == EXIT_IO:
+            return code
+        any_blowup |= code == EXIT_BLOWUP
+        stat_cols = ["nan"] * 4 if code == EXIT_BLOWUP else map(_fmt, astuple(stats))
+        rows.append([cfg.method, _gfmt(cfg.omega), _gfmt(cfg.h), *stat_cols])
 
     try:
         with open(outdir / "summary.csv", "w", newline="") as fh:
@@ -312,28 +320,26 @@ def build_parser() -> argparse.ArgumentParser:
     trajectory.add_argument("--t-end", type=float, default=1000.0)
     trajectory.add_argument("--stride", type=int, default=1)
 
-    run = sub.add_parser(
-        "run", parents=[trajectory], help="integrate one trajectory and write a drift CSV"
-    )
+    # an option not given to run or check stays out of the parsed namespace,
+    # so its default lives in ExperimentConfig or cmd_check alone
+    run = sub.add_parser("run", parents=[trajectory], argument_default=argparse.SUPPRESS,
+                         help="integrate one trajectory and write a drift CSV")
     run.add_argument("--method", required=True, help="registry name or trig:<name>")
-    run.add_argument("--omega", type=float, default=None)
-    run.add_argument("--h", type=float, default=None)
-    run.add_argument("--output", "-o", default=None)
-    run.add_argument(
-        "--preset",
-        choices=sorted(PRESETS),
-        default=None,
-        help="benchmark panel setting (h, omega); explicit flags override",
-    )
+    run.add_argument("--omega", type=float)
+    run.add_argument("--h", type=float)
+    run.add_argument("--output", "-o")
+    run.add_argument("--preset", choices=sorted(PRESETS),
+                     help="benchmark panel setting (h, omega); explicit flags override")
 
-    check = sub.add_parser("check", help="print a structure/assumption report")
+    check = sub.add_parser("check", argument_default=argparse.SUPPRESS,
+                           help="print a structure/assumption report")
     check.add_argument("method")
-    check.add_argument("--h", type=float, default=0.1)
-    check.add_argument("--omega", type=float, default=50.0)
-    check.add_argument("--c", type=float, default=1.0, help="non-resonance constant")
-    check.add_argument("--c0", type=float, default=0.1, help="stepsize floor constant")
-    check.add_argument("--sigma-lo", type=float, default=0.1)
-    check.add_argument("--sigma-hi", type=float, default=10.0)
+    check.add_argument("--h", type=float)
+    check.add_argument("--omega", type=float)
+    check.add_argument("--c", type=float, help="non-resonance constant")
+    check.add_argument("--c0", type=float, help="stepsize floor constant")
+    check.add_argument("--sigma-lo", type=float)
+    check.add_argument("--sigma-hi", type=float)
 
     sweep = sub.add_parser("sweep", parents=[trajectory], help="run a method x omega x h grid")
     sweep.add_argument("--methods", required=True, type=_str_list, help="comma separated")
@@ -347,44 +353,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(parser.parse_args(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep that contract for callers
         return int(exc.code) if exc.code is not None else EXIT_USAGE
 
-    if args.command == "run":
-        h, omega = PRESETS.get(args.preset, (ExperimentConfig.h, ExperimentConfig.omega))
-        cfg = ExperimentConfig(
-            method=args.method,
-            problem=args.problem,
-            m=args.m,
-            omega=omega if args.omega is None else args.omega,
-            h=h if args.h is None else args.h,
-            t_end=args.t_end,
-            stride=args.stride,
-            output=args.output,
-        )
-        return cmd_run(cfg)
-    if args.command == "check":
-        return cmd_check(
-            args.method,
-            h=args.h,
-            omega=args.omega,
-            c=args.c,
-            c0=args.c0,
-            sigma_lo=args.sigma_lo,
-            sigma_hi=args.sigma_hi,
-        )
-    return cmd_sweep(  # the parser admits no other command
-        args.methods,
-        args.omegas,
-        args.hs,
-        args.t_end,
-        args.outdir,
-        problem=args.problem,
-        m=args.m,
-        stride=args.stride,
-    )
+    # the option names are the parameter names, so the options pass through
+    command = args.pop("command")
+    if command == "run":
+        fallback = (ExperimentConfig.h, ExperimentConfig.omega)
+        h, omega = PRESETS.get(args.pop("preset", None), fallback)
+        return cmd_run(ExperimentConfig(**{"h": h, "omega": omega, **args}))  # flags win
+    if command == "check":
+        return cmd_check(**args)
+    return cmd_sweep(**args)  # the parser admits no other command
 
 
 def console_main() -> None:

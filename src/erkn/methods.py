@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .oscfun import BlockScalar, block_expand, sinc
+from .oscfun import block_expand, sinc
 from .systems import Partition, State, System
 
 # Default nu grid for the algebraic condition checkers: 0(0.1)10.
@@ -88,9 +88,9 @@ def rotation(
     nu = c * (h * part.omega)
     ch = c * h
     return (
-        block_expand(BlockScalar(1.0, math.cos(nu)), part),
-        block_expand(BlockScalar(ch, ch * sinc(nu)), part),
-        block_expand(BlockScalar(0.0, part.omega * math.sin(nu)), part),
+        block_expand(math.cos, part, nu),
+        block_expand(lambda x: ch * sinc(x), part, nu),
+        block_expand(lambda x: part.omega * math.sin(x), part, nu),
     )
 
 
@@ -142,8 +142,8 @@ def stepper(m: ErknMethod, sys: System, h: float) -> Callable[[State], State]:
     part = sys.partition
     nu = h * part.omega
     stage_cos, stage_hsinc, _ = rotation(part, h, m.c1)
-    h2_bbar = (h * h) * block_expand(BlockScalar(m.bbar(0.0), m.bbar(nu)), part)
-    h_b = h * block_expand(BlockScalar(m.b(0.0), m.b(nu)), part)
+    h2_bbar = (h * h) * block_expand(m.bbar, part, nu)
+    h_b = h * block_expand(m.b, part, nu)
     return step_map(sys, h, stage_cos, stage_hsinc, h2_bbar, h_b)
 
 

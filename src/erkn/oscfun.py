@@ -9,7 +9,7 @@ Nothing in this package ever materializes a matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -52,17 +52,9 @@ def phi_series(j: int, v: float, terms: int) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class BlockScalar:
-    """Value of a scalar function on the two diagonal blocks of h*Omega."""
-
-    slow: float
-    fast: float
-
-
-def block_expand(b: BlockScalar, part: Partition) -> np.ndarray:
-    """Expanded diagonal of the block operator, for repeated elementwise use."""
-    out = np.empty(part.dim)
-    out[: part.d1] = b.slow
-    out[part.d1 :] = b.fast
+def block_expand(f: Callable[[float], float], part: Partition, nu: float) -> np.ndarray:
+    """Diagonal of f(h*Omega) at nu = h*omega: f(0) on the slow block and
+    f(nu) on the fast one, expanded for repeated elementwise use."""
+    out = np.full(part.dim, f(nu))
+    out[: part.d1] = f(0.0)
     return out

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .methods import NU_GRID, ErknMethod, rotation, step_map, stepper
-from .oscfun import BlockScalar, block_expand, sinc
+from .oscfun import block_expand, sinc
 from .systems import Partition, State, System
 
 
@@ -57,7 +57,7 @@ def flow_kick(
     part = sys.partition
     if nu is None:
         nu = h * part.omega
-    u = block_expand(BlockScalar(upsilon(0.0), upsilon(nu)), part)
+    u = block_expand(upsilon, part, nu)
     return State(s.q, s.p + h * (u * sys.force(s.q)))
 
 
@@ -116,9 +116,8 @@ def strang_lnl_step(
     """
     part = sys.partition
     ups = upsilon_from(m) if upsilon is None else upsilon
-    nu = h * part.omega
     a = flow_linear(part, 0.5 * h, s)
-    b = flow_kick(sys, ups, h, a, nu=nu)
+    b = flow_kick(sys, ups, h, a)  # the full kick: its nu is h*omega
     return flow_linear(part, 0.5 * h, b)
 
 
@@ -158,19 +157,10 @@ def trig_stepper(tm: TrigMethod, sys: System, h: float) -> Callable[[State], Sta
     """
     part = sys.partition
     nu = h * part.omega
-
-    def blocks(f: Callable[[float], float]) -> np.ndarray:
-        return block_expand(BlockScalar(f(0.0), f(nu)), part)
-
-    return step_map(
-        sys,
-        h,
-        blocks(tm.phi),
-        np.zeros(part.dim),
-        (0.5 * h * h) * blocks(tm.psi),
-        (0.5 * h) * blocks(tm.psi0),
-        (0.5 * h) * blocks(tm.psi1),
-    )
+    return step_map(sys, h, block_expand(tm.phi, part, nu), np.zeros(part.dim),
+                    (0.5 * h * h) * block_expand(tm.psi, part, nu),
+                    (0.5 * h) * block_expand(tm.psi0, part, nu),
+                    (0.5 * h) * block_expand(tm.psi1, part, nu))
 
 
 def trig_step(tm: TrigMethod, sys: System, h: float, s: State) -> State:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -214,6 +214,21 @@ class DriftStats:
     window_ratio_I: float
 
 
+def drift_stepper(
+    method: Method, sys: System, h: float, t_end: float, stride: int = 1
+) -> Callable[[State], State]:
+    """The one-step map of a drift series, after checking its arguments, so a
+    caller can reject a run before it starts. Raises ValueError (and, for a
+    kick-first scheme with h*omega on a filter pole, ResonantStepsize)."""
+    if not (0.0 < h <= t_end and math.isfinite(t_end)):
+        raise ValueError("need finite h and t_end with 0 < h <= t_end")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if sys.initial is None:
+        raise ValueError(f"system {sys.label!r} has no designated initial state")
+    return _stepper_for(method, sys, h)
+
+
 def drift_series(
     method: Method, sys: System, h: float, t_end: float, stride: int = 1
 ) -> list[DriftRecord]:
@@ -223,13 +238,7 @@ def drift_series(
     the final step. Raises NonFiniteState (carrying the finite prefix) if the
     trajectory blows up.
     """
-    if not (0.0 < h <= t_end and math.isfinite(t_end)):
-        raise ValueError("need finite h and t_end with 0 < h <= t_end")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if sys.initial is None:
-        raise ValueError(f"system {sys.label!r} has no designated initial state")
-    step = _stepper_for(method, sys, h)
+    step = drift_stepper(method, sys, h, t_end, stride)
     n = int(round(t_end / h))
     s = sys.initial
     h0 = hamiltonian(sys, s)

@@ -12,6 +12,7 @@ from erkn.cli import (
     EXIT_USAGE,
     PRESETS,
     ExperimentConfig,
+    _check_grid,
     build_problem,
     cmd_check,
     cmd_run,
@@ -21,7 +22,7 @@ from erkn.cli import (
     resolve_method,
     write_drift_csv,
 )
-from erkn import METHODS, DriftRecord, TrigMethod
+from erkn import METHODS, NU_GRID, DriftRecord, TrigMethod
 
 
 def run_cfg(tmp_path, **kw):
@@ -138,11 +139,19 @@ def test_cmd_check_unknown_method():
 
 
 def test_cmd_check_stretches_grid_beyond_default():
-    # operating point nu = 40 lies outside the default grid; the report must
-    # still evaluate there rather than silently clipping
-    buf = io.StringIO()
-    assert cmd_check("ERKN2", h=0.2, omega=200.0, out=buf) == EXIT_OK
-    assert "sigma(h*omega)" in buf.getvalue()
+    # operating points nu = 40 and 1e5 lie outside the default grid; the report
+    # must still evaluate there rather than silently clipping, on a grid that
+    # ends at nu and stays bounded in size
+    for h, omega in [(0.2, 200.0), (1.0, 1e5)]:
+        buf = io.StringIO()
+        assert cmd_check("ERKN2", h=h, omega=omega, out=buf) == EXIT_OK
+        text = buf.getvalue()
+        assert "symmetric: pass" in text and "symplectic: pass" in text, text
+        assert f"h*omega = {h * omega:g} >= c0 = 0.1: pass" in text
+        assert "sigma(h*omega)" in text
+        grid = _check_grid(h * omega)
+        assert grid[:101] == list(NU_GRID) and grid[-1] == h * omega
+        assert len(grid) <= 1101 and all(a < b for a, b in zip(grid, grid[1:]))
 
 
 def test_cmd_sweep_layout(tmp_path):
@@ -216,6 +225,38 @@ def test_main_explicit_flag_overrides_preset(tmp_path):
     )
     assert code == EXIT_OK
     assert len(out.read_text().splitlines()) == 12  # h = 0.1 kept, omega from preset
+    # every run option reaches the config: the same bytes as cmd_run with it
+    argv = ["run", "--method", "trig:ERKN2", "--preset", "fig1", "--omega", "70", "--m", "2",
+            "--t-end", "2", "--stride", "4", "-o", str(tmp_path / "main.csv")]
+    assert main(argv) == EXIT_OK
+    cfg = ExperimentConfig(method="trig:ERKN2", m=2, omega=70.0, h=0.1, t_end=2.0, stride=4,
+                           output=str(tmp_path / "direct.csv"))
+    assert cmd_run(cfg, out=io.StringIO()) == EXIT_OK
+    rows = (tmp_path / "main.csv").read_text().splitlines()
+    assert len(rows) == 7  # header + steps 0, 4, ..., 20
+    assert (tmp_path / "main.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+
+def test_main_sweep_forwards_every_option(tmp_path):
+    argv = ["sweep", "--methods", "ERKN3,trig:ERKN4", "--omegas", "20", "--hs", "0.1,0.05",
+            "--problem", "linear", "--m", "2", "--t-end", "1", "--stride", "5",
+            "--outdir", str(tmp_path / "main")]
+    assert main(argv) == EXIT_OK
+    code = cmd_sweep(["ERKN3", "trig:ERKN4"], [20.0], [0.1, 0.05], t_end=1.0,
+                     outdir=tmp_path / "direct", problem="linear", m=2, stride=5,
+                     out=io.StringIO())
+    assert code == EXIT_OK
+    summary = (tmp_path / "main" / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[:3] for row in summary[1:]] == [
+        ["ERKN3", "20", "0.1"],
+        ["ERKN3", "20", "0.05"],
+        ["trig:ERKN4", "20", "0.1"],
+        ["trig:ERKN4", "20", "0.05"],
+    ]
+    assert (tmp_path / "direct" / "summary.csv").read_text().splitlines() == summary
+    # stride 5 at h = 0.1: steps 0, 5 and 10
+    csv = (tmp_path / "main" / "ERKN3_w20_h0.1.csv").read_text().splitlines()
+    assert len(csv) == 4
 
 
 # Invalid numeric input, as (command, arguments): each must exit 2 with one
@@ -231,11 +272,16 @@ INVALID_NUMBERS = [
     ("sweep", ["--methods", "trig:ERKN3", "--hs", "0.1", "--omegas", "31.41592653589793"]),
     ("sweep", ["--methods", "ERKN2", "--hs", "nan", "--omegas", "50"]),
     ("sweep", ["--methods", "ERKN2", "--hs", "0.1", "--omegas", "-1"]),
+    # a valid first cell before the invalid one: nothing may be written
+    ("sweep", ["--methods", "ERKN2", "--hs", "0.1,nan", "--omegas", "50"]),
+    ("sweep", ["--methods", "ERKN2", "--hs", "0.1", "--omegas", "50,-1"]),
+    ("sweep", ["--methods", "ERKN2,trig:ERKN3", "--hs", "0.1", "--omegas", "31.41592653589793"]),
     ("check", ["ERKN2", "--h", "0"]),
     ("check", ["ERKN2", "--h", "-0.1"]),
     ("check", ["ERKN2", "--h", "nan"]),
     ("check", ["ERKN2", "--c", "0"]),
     ("check", ["ERKN2", "--omega", "inf"]),
+    ("check", ["ERKN2", "--h", "1e200", "--omega", "1e200"]),  # h*omega overflows
 ]
 
 
@@ -267,3 +313,10 @@ def test_main_check_smoke(capsys):
     text = capsys.readouterr().out
     assert "symmetric: pass" in text
     assert "symplectic: fail" in text
+    # each bound flag reaches cmd_check and shows in the report
+    argv = ["check", "ERKN2", "--c", "2", "--c0", "0.5", "--sigma-lo", "0.2", "--sigma-hi", "5"]
+    assert main(argv) == EXIT_OK
+    text = capsys.readouterr().out
+    assert ">= 2*sqrt(h) up to k = N" in text
+    assert "h*omega = 5 >= c0 = 0.5: pass" in text
+    assert "bounds [0.2, 5]: pass" in text

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from erkn import BlockScalar, Partition, block_expand, phi_series, sinc
+from erkn import Partition, block_expand, phi_series, sinc
 
 
 def sinc_rational(x: float) -> float:
@@ -74,5 +74,8 @@ def test_phi_series_rejects_bad_arguments():
 
 def test_block_expand_layout():
     part = Partition(d1=2, d2=3, omega=4.0)
-    arr = block_expand(BlockScalar(1.5, -2.0), part)
+    arr = block_expand(lambda nu: 1.5 - 0.5 * nu, part, 7.0)  # f(0) slow, f(nu) fast
     np.testing.assert_array_equal(arr, [1.5, 1.5, -2.0, -2.0, -2.0])
+    # an empty slow block leaves only the fast value
+    arr = block_expand(lambda nu: 1.5 - 0.5 * nu, Partition(d1=0, d2=2, omega=4.0), 7.0)
+    np.testing.assert_array_equal(arr, [-2.0, -2.0])
