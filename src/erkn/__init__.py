@@ -12,6 +12,7 @@ from .methods import (
     check_symmetry,
     check_symplecticity,
     erkn_step,
+    step_map,
     stepper,
 )
 from .oscfun import block_expand, phi_series, sinc
@@ -35,6 +36,7 @@ from .systems import (
     Partition,
     State,
     System,
+    energies,
     finite_energy_check,
     fpu_initial,
     fpu_system,
@@ -51,6 +53,9 @@ from .verify import (
     ZeroCoefficient,
     adjoint_defect,
     assumption_report,
+    drift_coefficients,
+    drift_engine,
+    drift_records,
     drift_series,
     drift_stats,
     non_resonance_max_N,

@@ -5,7 +5,8 @@ Subcommands:
     check  print the structure/assumption report for one method
     sweep  run a method x omega x h grid into a directory plus summary.csv
 
-Exit codes: 0 success, 2 usage error, 3 I/O error, 4 trajectory blow-up.
+Exit codes: 0 success, 2 usage error, 3 I/O error (a closed stdout included),
+4 trajectory blow-up.
 CSV output is deterministic: 17 significant digits, '.' decimal separator,
 '\\n' line endings.
 """
@@ -14,23 +15,27 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys as _sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Optional, Sequence, TextIO, Union
+from typing import Iterator, Optional, Sequence, TextIO, Union
 
 from .methods import METHODS, NU_GRID, check_symmetry, check_symplecticity
 from .splitting import InconsistentFilter, NonSymmetricMethod, trig_method_from, upsilon_from
 from .systems import Partition, fpu_system, linear_system
-from .verify import (
+from .verify import (  # drift_series stays a cli attribute: perfbench's tracer wraps it here
+    DriftCell,
     DriftRecord,
     DriftStats,
     Method,
     NonFiniteState,
     assumption_report,
+    drift_coefficients,
+    drift_engine,
+    drift_records,
     drift_series,
     drift_stats,
-    drift_stepper,
 )
 
 EXIT_OK = 0
@@ -107,41 +112,53 @@ def _resolve_or_report(name: str, err: TextIO) -> Optional[Method]:
         return None
 
 
-def _invalid(cfg: ExperimentConfig, method: Method, err: TextIO) -> bool:
-    """Check one trajectory's input the way `drift_series` will meet it and
-    print the error if it is invalid: a non-finite or out-of-range number, a
-    problem size the system rejects, h*omega on a pole of the kick filter."""
+def _prepare(cfg: ExperimentConfig, method: Method, err: TextIO) -> Optional[DriftCell]:
+    """One trajectory's problem and coefficients, built once for
+    `drift_engine`; None, with the error printed, for invalid input: a
+    non-finite or out-of-range number, a problem size the system rejects,
+    h*omega on a pole of the kick filter."""
     try:
-        drift_stepper(method, build_problem(cfg), cfg.h, cfg.t_end, cfg.stride)
+        problem = build_problem(cfg)
+        return method, problem, drift_coefficients(method, problem, cfg.h, cfg.t_end, cfg.stride)
     except (KeyError, ValueError) as exc:  # ResonantStepsize included
         print(f"error: {cfg.method}: {exc.args[0]}", file=err)
-        return True
-    return False
+        return None
 
 
-def _run_experiment(
-    cfg: ExperimentConfig, method: Method, out: TextIO, err: TextIO
-) -> tuple[int, Optional[DriftStats]]:
-    """Build the problem, integrate it, write the drift CSV and return
-    (exit code, drift statistics); the run path shared by `run` and `sweep`,
-    for input that `_invalid` passed. A blow-up writes the finite prefix and
-    returns EXIT_BLOWUP with the statistics of that prefix.
-    """
-    code = EXIT_OK
-    try:
-        records = drift_series(method, build_problem(cfg), cfg.h, cfg.t_end, cfg.stride)
-    except NonFiniteState as exc:
-        print(f"warning: {exc}; writing partial series", file=err)
-        records, code = exc.records, EXIT_BLOWUP
+def _run_cells(
+    cells: Sequence[tuple[ExperimentConfig, DriftCell]], out: TextIO, err: TextIO
+) -> Iterator[tuple[int, Optional[DriftStats]]]:
+    """The run path of `run` and `sweep`, for cells that `_prepare` built
+    and that share problem, m, t_end and stride: one `drift_engine` call per
+    (h, kind) group (a kick-first step takes a second force), then in cell
+    order the drift CSV and (exit code, drift statistics) of each cell. A
+    blow-up writes the finite prefix and yields EXIT_BLOWUP with its
+    statistics; a failed write yields EXIT_IO and ends the run."""
+    groups: dict[tuple[float, bool], list[int]] = {}
+    for i, (cfg, (_, _, coefs)) in enumerate(cells):
+        groups.setdefault((cfg.h, coefs.wp_new is None), []).append(i)
+    results = {}
+    for members in groups.values():
+        cfg = cells[members[0]][0]
+        batch = drift_engine([cells[i][1] for i in members], cfg.h, cfg.t_end, cfg.stride)
+        results.update(zip(members, batch))
 
-    output = cfg.output or default_output_name(cfg.method, cfg.omega, cfg.h)
-    try:
-        write_drift_csv(output, records)
-    except OSError as exc:
-        print(f"error: cannot write {output}: {exc}", file=err)
-        return EXIT_IO, None
-    print(f"wrote {output} ({len(records)} samples)", file=out)
-    return code, drift_stats(records)
+    for i, (cfg, _) in enumerate(cells):
+        code = EXIT_OK
+        try:
+            records = drift_records(*results.pop(i))
+        except NonFiniteState as exc:
+            print(f"warning: {exc}; writing partial series", file=err)
+            records, code = exc.records, EXIT_BLOWUP
+        output = cfg.output or default_output_name(cfg.method, cfg.omega, cfg.h)
+        try:
+            write_drift_csv(output, records)
+        except OSError as exc:
+            print(f"error: cannot write {output}: {exc}", file=err)
+            yield EXIT_IO, None
+            return
+        print(f"wrote {output} ({len(records)} samples)", file=out)
+        yield code, drift_stats(records)
 
 
 def cmd_run(
@@ -150,9 +167,10 @@ def cmd_run(
     out = out if out is not None else _sys.stdout
     err = err if err is not None else _sys.stderr
     method = _resolve_or_report(cfg.method, err)
-    if method is None or _invalid(cfg, method, err):
+    cell = None if method is None else _prepare(cfg, method, err)
+    if cell is None:
         return EXIT_USAGE
-    code, stats = _run_experiment(cfg, method, out, err)
+    code, stats = next(_run_cells([(cfg, cell)], out, err))
     if stats is not None:
         print(
             f"max|dH| = {stats.max_dH:.6g}  max|dI| = {stats.max_dI:.6g}  "
@@ -268,8 +286,12 @@ def cmd_sweep(
                                   output=str(outdir / default_output_name(name, omega, h))))
         for name, method in resolved for omega in omegas for h in hs
     ]
-    if any(_invalid(cfg, method, err) for method, cfg in cells):
-        return EXIT_USAGE
+    prepared = []
+    for method, cfg in cells:
+        cell = _prepare(cfg, method, err)
+        if cell is None:
+            return EXIT_USAGE
+        prepared.append((cfg, cell))
 
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -279,8 +301,7 @@ def cmd_sweep(
 
     any_blowup = False
     rows = []
-    for method, cfg in cells:
-        code, stats = _run_experiment(cfg, method, out, err)
+    for (cfg, _), (code, stats) in zip(prepared, _run_cells(prepared, out, err)):
         if code == EXIT_IO:
             return code
         any_blowup |= code == EXIT_BLOWUP
@@ -370,7 +391,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        _sys.stdout.flush()  # output still buffered for a pipe fails here
+    except BrokenPipeError:
+        # the reader left early; stdout goes to devnull so that the flush at
+        # interpreter exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+        code = EXIT_IO
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

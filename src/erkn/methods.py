@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -94,43 +94,78 @@ def rotation(
     )
 
 
-def step_map(
-    sys: System,
-    h: float,
-    stage_q: np.ndarray,
-    stage_p: np.ndarray,
-    wq: np.ndarray,
-    wp: np.ndarray,
-    wp_new: Optional[np.ndarray] = None,
-) -> Callable[[State], State]:
-    """The one step kernel: the exact rotation over h plus a weighted force g
-    at the stage point Q = stage_q q + stage_p p,
+class Coefficients(NamedTuple):
+    """Diagonals of one step map (see `step_map`): length-dim vectors, or
+    (dim, B) blocks with a column per trajectory. wp_new is None for a
+    one-stage method and set for a kick-first scheme."""
+
+    cos: np.ndarray
+    hsinc: np.ndarray
+    omega_sin: np.ndarray
+    stage_q: np.ndarray
+    stage_p: np.ndarray
+    wq: np.ndarray
+    wp: np.ndarray
+    wp_new: Optional[np.ndarray] = None
+
+
+def erkn_coefficients(m: ErknMethod, part: Partition, h: float) -> Coefficients:
+    """The step-map diagonals of a one-stage method at step h."""
+    nu = h * part.omega
+    stage_cos, stage_hsinc, _ = rotation(part, h, m.c1)
+    return Coefficients(*rotation(part, h), stage_cos, stage_hsinc,
+                        (h * h) * block_expand(m.bbar, part, nu),
+                        h * block_expand(m.b, part, nu))
+
+
+def step_map(force: Callable[[np.ndarray], np.ndarray], c: Coefficients) -> Callable:
+    """The one step kernel z -> z+ on z = (q, p) stacked on axis 0: the exact
+    rotation over h plus a weighted force g at the stage point
+    Q = stage_q q + stage_p p,
 
         q+ = cos(h*Omega) q + h sinc(h*Omega) p + wq g(Q)
         p+ = -Omega sin(h*Omega) q + cos(h*Omega) p + wp g(Q) [+ wp_new g(stage_q q+)]
 
-    The bracketed second force evaluation, at the new position, is what the
+    z is (2, dim) for one state, or (2, dim, B) for a block of B states with
+    coefficient columns to match. Both rows of z go through each operation
+    at once, and every sum is formed in the order written above. The
+    bracketed second force evaluation, at the new position, is what the
     kick-first scheme adds to a one-stage method. It is chosen here, once, so
     the one-stage step carries no per-step test for it.
     """
-    force = sys.force
-    cos_full, hsinc_full, omega_sin = rotation(sys.partition, h)
+    same = np.array((c.cos, c.cos))  # multiplies (q, p)
+    swapped = np.array((c.hsinc, -c.omega_sin))  # multiplies (p, q)
+    stage = np.array((c.stage_q, c.stage_p))
+    weight = np.array((c.wq, c.wp))
+    stage_q, wp_new = c.stage_q, c.wp_new
 
     if wp_new is None:
 
-        def step(s: State) -> State:
-            gq = force(stage_q * s.q + stage_p * s.p)
-            qn = cos_full * s.q + hsinc_full * s.p + wq * gq
-            return State(qn, cos_full * s.p - omega_sin * s.q + wp * gq)
+        def step(z: np.ndarray) -> np.ndarray:
+            x = stage * z
+            return same * z + swapped * z[::-1] + weight * force(x[0] + x[1])
 
         return step
 
-    def step_kick_first(s: State) -> State:
-        gq = force(stage_q * s.q + stage_p * s.p)
-        qn = cos_full * s.q + hsinc_full * s.p + wq * gq
-        return State(qn, cos_full * s.p - omega_sin * s.q + wp * gq + wp_new * force(stage_q * qn))
+    def step_kick_first(z: np.ndarray) -> np.ndarray:
+        x = stage * z
+        zn = same * z + swapped * z[::-1] + weight * force(x[0] + x[1])
+        zn[1] += wp_new * force(stage_q * zn[0])
+        return zn
 
     return step_kick_first
+
+
+def state_stepper(sys: System, c: Coefficients) -> Callable[[State], State]:
+    """The step kernel on `State`s of one trajectory."""
+    kernel = step_map(sys.force, c)
+    wrap = State._wrap  # the rows of the kernel's fresh output
+
+    def step(s: State) -> State:
+        z = kernel(np.array((s.q, s.p)))
+        return wrap(z[0], z[1])
+
+    return step
 
 
 def stepper(m: ErknMethod, sys: System, h: float) -> Callable[[State], State]:
@@ -139,12 +174,7 @@ def stepper(m: ErknMethod, sys: System, h: float) -> Callable[[State], State]:
     All h-dependent coefficients are evaluated once here; the returned
     closure is what trajectory loops should call.
     """
-    part = sys.partition
-    nu = h * part.omega
-    stage_cos, stage_hsinc, _ = rotation(part, h, m.c1)
-    h2_bbar = (h * h) * block_expand(m.bbar, part, nu)
-    h_b = h * block_expand(m.b, part, nu)
-    return step_map(sys, h, stage_cos, stage_hsinc, h2_bbar, h_b)
+    return state_stepper(sys, erkn_coefficients(m, sys.partition, h))
 
 
 def erkn_step(m: ErknMethod, sys: System, h: float, s: State) -> State:

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .methods import NU_GRID, ErknMethod, rotation, step_map, stepper
+from .methods import NU_GRID, Coefficients, ErknMethod, rotation, state_stepper, stepper
 from .oscfun import block_expand, sinc
 from .systems import Partition, State, System
 
@@ -148,19 +148,23 @@ def trig_method_from(m: ErknMethod, grid: Optional[Sequence[float]] = None) -> T
     )
 
 
-def trig_stepper(tm: TrigMethod, sys: System, h: float) -> Callable[[State], State]:
-    """Closed-form one-step map of the kick-first scheme:
+def trig_coefficients(tm: TrigMethod, part: Partition, h: float) -> Coefficients:
+    """The step-map diagonals of the kick-first scheme in closed form:
 
         q+ = cos(h*Omega) q + h sinc(h*Omega) p + h^2/2 psi g(phi q)
         p+ = -Omega sin(h*Omega) q + cos(h*Omega) p
              + h/2 (psi0 g(phi q) + psi1 g(phi q+))
     """
-    part = sys.partition
     nu = h * part.omega
-    return step_map(sys, h, block_expand(tm.phi, part, nu), np.zeros(part.dim),
-                    (0.5 * h * h) * block_expand(tm.psi, part, nu),
-                    (0.5 * h) * block_expand(tm.psi0, part, nu),
-                    (0.5 * h) * block_expand(tm.psi1, part, nu))
+    return Coefficients(*rotation(part, h), block_expand(tm.phi, part, nu), np.zeros(part.dim),
+                        (0.5 * h * h) * block_expand(tm.psi, part, nu),
+                        (0.5 * h) * block_expand(tm.psi0, part, nu),
+                        (0.5 * h) * block_expand(tm.psi1, part, nu))
+
+
+def trig_stepper(tm: TrigMethod, sys: System, h: float) -> Callable[[State], State]:
+    """Closed-form one-step map of the kick-first scheme (`trig_coefficients`)."""
+    return state_stepper(sys, trig_coefficients(tm, sys.partition, h))
 
 
 def trig_step(tm: TrigMethod, sys: System, h: float, s: State) -> State:

@@ -50,39 +50,59 @@ class State:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
 
+    @classmethod
+    def _wrap(cls, q: np.ndarray, p: np.ndarray) -> "State":
+        """A State around two fresh 1-d float arrays that nothing else holds
+        (a step kernel's outputs), without the copy and the checks."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "q", q)
+        object.__setattr__(s, "p", p)
+        return s
+
 
 @dataclass(frozen=True)
 class System:
     """A partition plus potential U and force g = -grad U.
 
-    `initial` is the designated starting state for benchmark trajectories.
+    Both take q with dim on axis 0: one state, or a block of states along
+    the other axes (the drift engine passes (dim, B) blocks), and return one
+    value or vector per state. `initial` is the designated starting state
+    for benchmark trajectories.
     """
 
     partition: Partition
-    potential: Callable[[np.ndarray], float]
+    potential: Callable[[np.ndarray], np.ndarray]
     force: Callable[[np.ndarray], np.ndarray]
     label: str
     initial: Optional[State] = None
 
 
+def _oscillatory(d1: int, omega, q: np.ndarray, p: np.ndarray):
+    q2, p2 = q[d1:], p[d1:]
+    return 0.5 * np.sum(p2 * p2, axis=0) + 0.5 * omega * omega * np.sum(q2 * q2, axis=0)
+
+
+def energies(sys: System, q: np.ndarray, p: np.ndarray, omega=None):
+    """(H, I) of a block of states: dim on axis 0 of q and p, one state per
+    index of the other axes (1-d q and p give scalars). omega defaults to the
+    system's; an array that broadcasts over the other axes gives each state
+    its own. H = I + 1/2 |p1|^2 + U, so the split off of I is exact."""
+    part = sys.partition
+    osc = _oscillatory(part.d1, part.omega if omega is None else omega, q, p)
+    p1 = p[: part.d1]
+    return osc + 0.5 * np.sum(p1 * p1, axis=0) + sys.potential(q), osc
+
+
 def oscillatory_energy(part: Partition, s: State) -> float:
     """Energy of the fast subsystem, I = 1/2 |p2|^2 + 1/2 omega^2 |q2|^2."""
-    q2 = s.q[part.d1 :]
-    p2 = s.p[part.d1 :]
-    return 0.5 * float(np.dot(p2, p2)) + 0.5 * part.omega**2 * float(np.dot(q2, q2))
+    return float(_oscillatory(part.d1, part.omega, s.q, s.p))
 
 
 def hamiltonian(sys: System, s: State) -> float:
-    """Total energy H = 1/2 |p|^2 + 1/2 omega^2 |q2|^2 + U(q).
-
-    Assembled as I + 1/2 |p1|^2 + U so the split into oscillatory and slow
-    energy is exact as computed.
-    """
-    part = sys.partition
-    if s.q.shape != (part.dim,):
+    """Total energy H = 1/2 |p|^2 + 1/2 omega^2 |q2|^2 + U(q)."""
+    if s.q.shape != (sys.partition.dim,):
         raise ValueError("state does not match system partition")
-    p1 = s.p[: part.d1]
-    return oscillatory_energy(part, s) + 0.5 * float(np.dot(p1, p1)) + sys.potential(s.q)
+    return float(energies(sys, s.q, s.p)[0])
 
 
 def finite_energy_check(part: Partition, s: State, e: float) -> bool:
@@ -124,29 +144,29 @@ def fpu_system(m: int, omega: float) -> System:
         raise ValueError("need m >= 1")
     part = Partition(d1=m, d2=m, omega=omega)
 
-    def potential(q: np.ndarray) -> float:
-        u = (q[0] - q[m]) ** 4 + (q[m - 1] + q[2 * m - 1]) ** 4
-        if m > 1:
-            mid = q[1:m] - q[m + 1 :] - q[: m - 1] - q[m : 2 * m - 1]
-            u += float(np.sum(mid**4))
-        return 0.25 * float(u)
+    def elongations(q: np.ndarray) -> np.ndarray:
+        # s_0 = q_1 - q_{m+1}, s_i = q_{i+1} - q_{m+i+1} - q_i - q_{m+i} and
+        # s_m = -(q_m + q_{2m}), so U = 1/4 sum_i s_i^4 (0-based s, 1-based q)
+        slow, stiff = q[:m], q[m:]
+        s = np.zeros((m + 1,) + q.shape[1:])
+        np.subtract(slow, stiff, out=s[:m])
+        tail = s[1:]
+        tail -= slow
+        tail -= stiff
+        return s
+
+    def potential(q: np.ndarray):
+        return 0.25 * np.sum(elongations(q) ** 4, axis=0)
 
     def force(q: np.ndarray) -> np.ndarray:
-        g = np.zeros(2 * m)
-        # each quartic term (s)^4/4 contributes s^3 * ds/dq
-        s0 = (q[0] - q[m]) ** 3
-        g[0] -= s0
-        g[m] += s0
-        sm = (q[m - 1] + q[2 * m - 1]) ** 3
-        g[m - 1] -= sm
-        g[2 * m - 1] -= sm
-        if m > 1:
-            mid = (q[1:m] - q[m + 1 :] - q[: m - 1] - q[m : 2 * m - 1]) ** 3
-            g[1:m] -= mid
-            g[m + 1 :] += mid
-            g[: m - 1] += mid
-            g[m : 2 * m - 1] += mid
-        return g
+        # each s_i^4/4 contributes s_i^3 * ds_i/dq: slow q_i gets
+        # s_{i+1}^3 - s_i^3 and stiff q_{m+i} gets s_{i+1}^3 + s_i^3. The
+        # cubes come from one array power whatever the shape of q: a scalar
+        # ** 3 can round differently, and a batched column must match the
+        # single-trajectory step bit for bit.
+        cube = elongations(q) ** 3
+        ahead, behind = cube[1:], cube[:m]
+        return np.concatenate((ahead - behind, ahead + behind))
 
     return System(
         partition=part,
@@ -165,11 +185,11 @@ def linear_system(part: Partition) -> System:
     """
     dim = part.dim
 
-    def potential(q: np.ndarray) -> float:
-        return 0.0
+    def potential(q: np.ndarray):
+        return np.zeros(q.shape[1:])
 
     def force(q: np.ndarray) -> np.ndarray:
-        return np.zeros(dim)
+        return np.zeros(q.shape)
 
     q = np.zeros(dim)
     p = np.zeros(dim)

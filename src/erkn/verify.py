@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .methods import ErknMethod, stepper
+from .methods import Coefficients, ErknMethod, erkn_coefficients, step_map, stepper
 from .oscfun import sinc
-from .splitting import TrigMethod, _state_dev, trig_stepper
-from .systems import State, System, hamiltonian, oscillatory_energy
+from .splitting import TrigMethod, _state_dev, trig_coefficients, trig_stepper
+# hamiltonian and oscillatory_energy stay attributes of this module, where
+# perfbench's tracer wraps them
+from .systems import State, System, energies, hamiltonian, oscillatory_energy  # noqa: F401
 
 
 class ZeroCoefficient(ValueError):
@@ -214,51 +216,118 @@ class DriftStats:
     window_ratio_I: float
 
 
-def drift_stepper(
+def drift_coefficients(
     method: Method, sys: System, h: float, t_end: float, stride: int = 1
-) -> Callable[[State], State]:
-    """The one-step map of a drift series, after checking its arguments, so a
-    caller can reject a run before it starts. Raises ValueError (and, for a
-    kick-first scheme with h*omega on a filter pole, ResonantStepsize)."""
+) -> Coefficients:
+    """The step-map diagonals of a drift series, after checking its arguments,
+    so a caller can reject a run before it starts. Raises ValueError (and, for
+    a kick-first scheme with h*omega on a filter pole, ResonantStepsize)."""
     if not (0.0 < h <= t_end and math.isfinite(t_end)):
         raise ValueError("need finite h and t_end with 0 < h <= t_end")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if sys.initial is None:
         raise ValueError(f"system {sys.label!r} has no designated initial state")
-    return _stepper_for(method, sys, h)
+    build = erkn_coefficients if isinstance(method, ErknMethod) else trig_coefficients
+    return build(method, sys.partition, h)
+
+
+# Bytes of sampled states held before their energies are evaluated together.
+SAMPLE_BUFFER_BYTES = 1 << 16
+DriftCell = tuple[Method, System, Coefficients]
+
+
+def drift_engine(
+    cells: Sequence[DriftCell], h: float, t_end: float, stride: int = 1
+) -> list[tuple[np.ndarray, Optional[str]]]:
+    """Integrate B cells (method, system, `drift_coefficients`) that share h,
+    t_end and stride, each from its system's initial state, at once: q and p
+    are (dim, B) blocks with a column per cell, stacked into one (2, dim, B)
+    state that one `step_map` over the cells' coefficient columns advances.
+    The cells share their problem (force, potential and block sizes; omega
+    may differ) and their kind (one-stage or kick-first).
+
+    Runs n = round(t_end/h) steps and samples step 0, every stride-th step
+    and the final step. A cell whose state turns non-finite leaves the batch.
+    Returns per cell a (k, 3) array of (t, H, I) per sample and None, or for
+    a cell that blew up its finite prefix and a message that says where.
+    """
+    methods, systems, coefs = zip(*cells)
+    if len({c.wp_new is None for c in coefs}) > 1:
+        raise ValueError("a batch mixes one-stage and kick-first methods")
+    first, n = systems[0], int(round(t_end / h))
+    taken = np.minimum(np.arange(n // stride + 1 + (n % stride > 0)) * stride, n)  # steps
+    energy = np.empty((2, len(taken), len(cells)))  # H and I of every sample
+    ends: list = [(len(taken), None)] * len(cells)  # samples kept, blow-up message
+    live = np.arange(len(cells))
+    c = Coefficients(*(x[0] if x[0] is None else np.stack(x, axis=1) for x in zip(*coefs)))
+    z = np.stack([(s.initial.q, s.initial.p) for s in systems], axis=-1)  # (2, dim, B)
+    omega = np.array([s.partition.omega for s in systems])
+    slots = max(2, SAMPLE_BUFFER_BYTES // z.nbytes)
+    buf = np.zeros(z.shape[:2] + (slots, len(cells)))
+    lo = 0  # index of the first sample in the buffer
+
+    def flush(hi: int) -> None:
+        # at least two slots: numpy sums a lone sample of a lone cell in
+        # another order, and a cell's energies must not depend on its batch
+        used = buf[:, :, : max(hi - lo, 2)]
+        energy[:, lo:hi, live] = np.stack(energies(first, *used, omega))[:, : hi - lo]
+
+    step = step_map(first.force, c)
+    # blow-up is an expected, reported condition; silence the overflow chatter
+    with np.errstate(over="ignore", invalid="ignore"):
+        buf[:, :, 0] = z
+        k, due = 1, min(stride, n)  # index and step of the next sample
+        for i in range(1, n + 1):
+            z = step(z)
+            if not np.logical_and.reduce(np.isfinite(z), axis=None):  # one test per batch
+                flush(k)
+                lo = k
+                keep = np.isfinite(z).all(axis=(0, 1))
+                for j in live[~keep]:
+                    ends[j] = k, (f"{getattr(methods[j], 'name', '?')} on {systems[j].label}: "
+                                  f"state became non-finite at step {i} (t = {i * h:g})")
+                live, z, omega, buf = live[keep], z[..., keep], omega[keep], buf[..., keep]
+                if not len(live):
+                    break
+                c = Coefficients(*(x if x is None else x[:, keep] for x in c))
+                step = step_map(first.force, c)
+            if i == due:
+                if k - lo == slots:
+                    flush(k)
+                    lo = k
+                buf[:, :, k - lo] = z
+                k, due = k + 1, min(due + stride, n)
+        else:
+            flush(k)
+    t = taken * h
+    return [(np.column_stack((t[:kept], *energy[:, :kept, j])), message)
+            for j, (kept, message) in enumerate(ends)]
+
+
+def drift_records(samples: np.ndarray, blowup: Optional[str] = None) -> list[DriftRecord]:
+    """The DriftRecords of one `drift_engine` cell; raises NonFiniteState,
+    carrying them, if the cell blew up."""
+    rows = samples.tolist()
+    _, h0, i0 = rows[0]
+    records = [DriftRecord(t, hh, ii, hh - h0, ii - i0) for t, hh, ii in rows]
+    if blowup is not None:
+        raise NonFiniteState(blowup, records)
+    return records
 
 
 def drift_series(
     method: Method, sys: System, h: float, t_end: float, stride: int = 1
 ) -> list[DriftRecord]:
-    """Integrate from the system's designated initial state, sampling energies.
+    """Integrate from the system's designated initial state, sampling energies:
+    the drift engine with one cell.
 
     Runs n = round(t_end/h) steps; records step 0, every stride-th step, and
     the final step. Raises NonFiniteState (carrying the finite prefix) if the
     trajectory blows up.
     """
-    step = drift_stepper(method, sys, h, t_end, stride)
-    n = int(round(t_end / h))
-    s = sys.initial
-    h0 = hamiltonian(sys, s)
-    i0 = oscillatory_energy(sys.partition, s)
-    records = [DriftRecord(0.0, h0, i0, 0.0, 0.0)]
-    # blow-up is an expected, reported condition; silence the overflow chatter
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n + 1):
-            s = step(s)
-            if not (np.isfinite(s.q).all() and np.isfinite(s.p).all()):
-                raise NonFiniteState(
-                    f"{getattr(method, 'name', '?')} on {sys.label}: state became "
-                    f"non-finite at step {i} (t = {i * h:g})",
-                    records,
-                )
-            if i % stride == 0 or i == n:
-                hh = hamiltonian(sys, s)
-                ii = oscillatory_energy(sys.partition, s)
-                records.append(DriftRecord(i * h, hh, ii, hh - h0, ii - i0))
-    return records
+    cell = (method, sys, drift_coefficients(method, sys, h, t_end, stride))
+    return drift_records(*drift_engine([cell], h, t_end, stride)[0])
 
 
 def drift_stats(records: Sequence[DriftRecord]) -> DriftStats:

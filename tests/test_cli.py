@@ -1,9 +1,15 @@
 """Command line wiring: formats, filenames, exit codes, determinism."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import erkn
 
 from erkn.cli import (
     EXIT_BLOWUP,
@@ -320,3 +326,23 @@ def test_main_check_smoke(capsys):
     assert ">= 2*sqrt(h) up to k = N" in text
     assert "h*omega = 5 >= c0 = 0.5: pass" in text
     assert "bounds [0.2, 5]: pass" in text
+
+
+def test_console_main_exits_3_without_a_traceback_when_stdout_closes():
+    """A reader that leaves early (`erkn check ERKN3 | true`) closes the pipe
+    under stdout; the CLI exits with the I/O code and prints nothing."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(erkn.__file__).parents[1])
+    commands = (["check", "ERKN3"], ["run", "--method", "ERKN2", "--t-end", "1", "-o", os.devnull])
+    try:
+        # buffered, the write fails at the final flush; unbuffered, in print
+        for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+            for argv in commands:
+                proc = subprocess.run([sys.executable, "-m", "erkn", *argv], stdout=write_end,
+                                      stderr=subprocess.PIPE, env={**env, **unbuffered},
+                                      timeout=120)
+                assert (proc.returncode, proc.stderr) == (EXIT_IO, b""), (argv, unbuffered)
+    finally:
+        os.close(write_end)
