@@ -21,19 +21,19 @@ from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO, Union
 
+import numpy as np
+
 from .methods import METHODS, NU_GRID, check_symmetry, check_symplecticity
 from .splitting import InconsistentFilter, NonSymmetricMethod, trig_method_from, upsilon_from
 from .systems import Partition, fpu_system, linear_system
 from .verify import (  # drift_series stays a cli attribute: perfbench's tracer wraps it here
     DriftCell,
-    DriftRecord,
+    DriftRows,
     DriftStats,
     Method,
-    NonFiniteState,
     assumption_report,
     drift_coefficients,
     drift_engine,
-    drift_records,
     drift_series,
     drift_stats,
 )
@@ -90,13 +90,12 @@ def build_problem(cfg: ExperimentConfig):
     raise KeyError(f"unknown problem {cfg.problem!r}; valid: fpu, linear")
 
 
-def write_drift_csv(path: Union[str, Path], records: Sequence[DriftRecord]) -> None:
+def write_drift_csv(path: Union[str, Path], records: DriftRows) -> None:
+    """DriftRecords, or the (t, H, I, dH, dI) rows of `drift_engine`, as CSV."""
     with open(path, "w", newline="") as fh:
         fh.write("t,H,I,dH,dI\n")
-        for r in records:
-            fh.write(
-                f"{_fmt(r.t)},{_fmt(r.H)},{_fmt(r.I)},{_fmt(r.dH)},{_fmt(r.dI)}\n"
-            )
+        for row in np.asarray(records, dtype=float).tolist():
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def default_output_name(method: str, omega: float, h: float) -> str:
@@ -131,9 +130,9 @@ def _run_cells(
     """The run path of `run` and `sweep`, for cells that `_prepare` built
     and that share problem, m, t_end and stride: one `drift_engine` call per
     (h, kind) group (a kick-first step takes a second force), then in cell
-    order the drift CSV and (exit code, drift statistics) of each cell. A
-    blow-up writes the finite prefix and yields EXIT_BLOWUP with its
-    statistics; a failed write yields EXIT_IO and ends the run."""
+    order the drift CSV of the engine's rows and (exit code, drift statistics)
+    of each cell. A blow-up writes the finite prefix and yields EXIT_BLOWUP
+    with its statistics; a failed write yields EXIT_IO and ends the run."""
     groups: dict[tuple[float, bool], list[int]] = {}
     for i, (cfg, (_, _, coefs)) in enumerate(cells):
         groups.setdefault((cfg.h, coefs.wp_new is None), []).append(i)
@@ -144,21 +143,18 @@ def _run_cells(
         results.update(zip(members, batch))
 
     for i, (cfg, _) in enumerate(cells):
-        code = EXIT_OK
-        try:
-            records = drift_records(*results.pop(i))
-        except NonFiniteState as exc:
-            print(f"warning: {exc}; writing partial series", file=err)
-            records, code = exc.records, EXIT_BLOWUP
+        rows, blowup = results.pop(i)
+        if blowup is not None:
+            print(f"warning: {blowup}; writing partial series", file=err)
         output = cfg.output or default_output_name(cfg.method, cfg.omega, cfg.h)
         try:
-            write_drift_csv(output, records)
+            write_drift_csv(output, rows)
         except OSError as exc:
             print(f"error: cannot write {output}: {exc}", file=err)
             yield EXIT_IO, None
             return
-        print(f"wrote {output} ({len(records)} samples)", file=out)
-        yield code, drift_stats(records)
+        print(f"wrote {output} ({len(rows)} samples)", file=out)
+        yield EXIT_OK if blowup is None else EXIT_BLOWUP, drift_stats(rows)
 
 
 def cmd_run(
@@ -261,9 +257,9 @@ def cmd_sweep(
     hs: Sequence[float],
     t_end: float,
     outdir: Union[str, Path],
-    problem: str = "fpu",
-    m: int = 3,
-    stride: int = 1,
+    problem: str = ExperimentConfig.problem,
+    m: int = ExperimentConfig.m,
+    stride: int = ExperimentConfig.stride,
     out: Optional[TextIO] = None,
     err: Optional[TextIO] = None,
 ) -> int:
@@ -334,15 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Oscillatory-Hamiltonian integrator benchmarks and structure checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the trajectory settings that run and sweep share
-    trajectory = argparse.ArgumentParser(add_help=False)
-    trajectory.add_argument("--problem", default="fpu", choices=["fpu", "linear"])
-    trajectory.add_argument("--m", type=int, default=3, help="block size (d1 = d2 = m)")
-    trajectory.add_argument("--t-end", type=float, default=1000.0)
-    trajectory.add_argument("--stride", type=int, default=1)
+    # An option not given stays out of the parsed namespace, so its default
+    # lives in ExperimentConfig or cmd_check alone. These trajectory settings
+    # are shared by run and sweep.
+    trajectory = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    trajectory.add_argument("--problem", choices=["fpu", "linear"])
+    trajectory.add_argument("--m", type=int, help="block size (d1 = d2 = m)")
+    trajectory.add_argument("--t-end", type=float)
+    trajectory.add_argument("--stride", type=int)
 
-    # an option not given to run or check stays out of the parsed namespace,
-    # so its default lives in ExperimentConfig or cmd_check alone
     run = sub.add_parser("run", parents=[trajectory], argument_default=argparse.SUPPRESS,
                          help="integrate one trajectory and write a drift CSV")
     run.add_argument("--method", required=True, help="registry name or trig:<name>")
@@ -387,7 +383,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return cmd_run(ExperimentConfig(**{"h": h, "omega": omega, **args}))  # flags win
     if command == "check":
         return cmd_check(**args)
-    return cmd_sweep(**args)  # the parser admits no other command
+    return cmd_sweep(**{"t_end": ExperimentConfig.t_end, **args})  # the only other command
 
 
 def console_main() -> None:

@@ -38,6 +38,14 @@ class ErknMethod:
     bbar: Callable[[float], float]
     b: Callable[[float], float]
 
+    def coefficients(self, part: Partition, h: float) -> Coefficients:
+        """The step-map diagonals of this method at step h."""
+        nu = h * part.omega
+        stage_cos, stage_hsinc, _ = rotation(part, h, self.c1)
+        return Coefficients(*rotation(part, h), stage_cos, stage_hsinc,
+                            (h * h) * block_expand(self.bbar, part, nu),
+                            h * block_expand(self.b, part, nu))
+
 
 METHODS: dict[str, ErknMethod] = {
     "ERKN1": ErknMethod(
@@ -109,15 +117,6 @@ class Coefficients(NamedTuple):
     wp_new: Optional[np.ndarray] = None
 
 
-def erkn_coefficients(m: ErknMethod, part: Partition, h: float) -> Coefficients:
-    """The step-map diagonals of a one-stage method at step h."""
-    nu = h * part.omega
-    stage_cos, stage_hsinc, _ = rotation(part, h, m.c1)
-    return Coefficients(*rotation(part, h), stage_cos, stage_hsinc,
-                        (h * h) * block_expand(m.bbar, part, nu),
-                        h * block_expand(m.b, part, nu))
-
-
 def step_map(force: Callable[[np.ndarray], np.ndarray], c: Coefficients) -> Callable:
     """The one step kernel z -> z+ on z = (q, p) stacked on axis 0: the exact
     rotation over h plus a weighted force g at the stage point
@@ -156,9 +155,12 @@ def step_map(force: Callable[[np.ndarray], np.ndarray], c: Coefficients) -> Call
     return step_kick_first
 
 
-def state_stepper(sys: System, c: Coefficients) -> Callable[[State], State]:
-    """The step kernel on `State`s of one trajectory."""
-    kernel = step_map(sys.force, c)
+def stepper(m, sys: System, h: float) -> Callable[[State], State]:
+    """Bind (method, system, h) into a one-step map on `State`s, for an
+    `ErknMethod` or a kick-first `TrigMethod` alike. All h-dependent
+    coefficients (the method's `coefficients`) are evaluated once here; the
+    returned closure is what trajectory loops should call."""
+    kernel = step_map(sys.force, m.coefficients(sys.partition, h))
     wrap = State._wrap  # the rows of the kernel's fresh output
 
     def step(s: State) -> State:
@@ -168,16 +170,7 @@ def state_stepper(sys: System, c: Coefficients) -> Callable[[State], State]:
     return step
 
 
-def stepper(m: ErknMethod, sys: System, h: float) -> Callable[[State], State]:
-    """Bind (method, system, h) into a one-step map.
-
-    All h-dependent coefficients are evaluated once here; the returned
-    closure is what trajectory loops should call.
-    """
-    return state_stepper(sys, erkn_coefficients(m, sys.partition, h))
-
-
-def erkn_step(m: ErknMethod, sys: System, h: float, s: State) -> State:
+def erkn_step(m, sys: System, h: float, s: State) -> State:
     """One step of the method from state s (h may be negative)."""
     return stepper(m, sys, h)(s)
 

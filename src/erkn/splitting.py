@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .methods import NU_GRID, Coefficients, ErknMethod, rotation, state_stepper, stepper
+from .methods import COEFF_TOL, NU_GRID, Coefficients, ErknMethod, erkn_step, rotation, stepper
 from .oscfun import block_expand, sinc
 from .systems import Partition, State, System
 
@@ -62,16 +62,13 @@ def flow_kick(
 
 
 def upsilon_from(
-    m: ErknMethod,
-    grid: Optional[Sequence[float]] = None,
-    tol: float = 1e-12,
-    pole_tol: float = FILTER_POLE_TOL,
+    m: ErknMethod, grid: Optional[Sequence[float]] = None
 ) -> Callable[[float], float]:
     """Extract the kick filter nu -> b(nu)/cos(nu/2) of a symmetric method.
 
-    The alternative expression 2*bbar(nu)/sinc(nu/2) must agree on the grid
-    (poles skipped); the returned function refuses arguments on a pole of
-    cos(nu/2).
+    The alternative expression 2*bbar(nu)/sinc(nu/2) must agree within
+    COEFF_TOL on the grid (points within FILTER_POLE_TOL of a pole skipped);
+    the returned function refuses arguments on a pole of cos(nu/2).
     """
     if m.c1 != 0.5:
         raise NonSymmetricMethod(f"{m.name}: the kick filter needs c1 = 1/2, got c1 = {m.c1:g}")
@@ -80,12 +77,12 @@ def upsilon_from(
     for nu in pts:
         cc = math.cos(0.5 * nu)
         ss = sinc(0.5 * nu)
-        if abs(cc) < pole_tol or abs(ss) < pole_tol:
+        if abs(cc) < FILTER_POLE_TOL or abs(ss) < FILTER_POLE_TOL:
             continue
         r = abs(m.b(nu) / cc - 2.0 * m.bbar(nu) / ss)
         if r > worst:
             worst = r
-    if worst > tol:
+    if worst > COEFF_TOL:
         raise InconsistentFilter(
             f"{m.name}: filter expressions b/cos(nu/2) and 2*bbar/sinc(nu/2) "
             f"disagree by {worst:.3e} on the grid"
@@ -93,7 +90,7 @@ def upsilon_from(
 
     def upsilon(nu: float) -> float:
         cc = math.cos(0.5 * nu)
-        if abs(cc) < pole_tol:
+        if abs(cc) < FILTER_POLE_TOL:
             raise ResonantStepsize(
                 f"filter pole: |cos(nu/2)| = {abs(cc):.2e} at nu = {nu:g}"
             )
@@ -135,6 +132,19 @@ class TrigMethod:
     psi0: Callable[[float], float]
     psi1: Callable[[float], float]
 
+    def coefficients(self, part: Partition, h: float) -> Coefficients:
+        """The step-map diagonals of the kick-first scheme in closed form:
+
+            q+ = cos(h*Omega) q + h sinc(h*Omega) p + h^2/2 psi g(phi q)
+            p+ = -Omega sin(h*Omega) q + cos(h*Omega) p
+                 + h/2 (psi0 g(phi q) + psi1 g(phi q+))
+        """
+        nu = h * part.omega
+        return Coefficients(*rotation(part, h), block_expand(self.phi, part, nu),
+                            np.zeros(part.dim), (0.5 * h * h) * block_expand(self.psi, part, nu),
+                            (0.5 * h) * block_expand(self.psi0, part, nu),
+                            (0.5 * h) * block_expand(self.psi1, part, nu))
+
 
 def trig_method_from(m: ErknMethod, grid: Optional[Sequence[float]] = None) -> TrigMethod:
     """Conjugate kick-first scheme of a symmetric one-stage method."""
@@ -148,28 +158,10 @@ def trig_method_from(m: ErknMethod, grid: Optional[Sequence[float]] = None) -> T
     )
 
 
-def trig_coefficients(tm: TrigMethod, part: Partition, h: float) -> Coefficients:
-    """The step-map diagonals of the kick-first scheme in closed form:
-
-        q+ = cos(h*Omega) q + h sinc(h*Omega) p + h^2/2 psi g(phi q)
-        p+ = -Omega sin(h*Omega) q + cos(h*Omega) p
-             + h/2 (psi0 g(phi q) + psi1 g(phi q+))
-    """
-    nu = h * part.omega
-    return Coefficients(*rotation(part, h), block_expand(tm.phi, part, nu), np.zeros(part.dim),
-                        (0.5 * h * h) * block_expand(tm.psi, part, nu),
-                        (0.5 * h) * block_expand(tm.psi0, part, nu),
-                        (0.5 * h) * block_expand(tm.psi1, part, nu))
-
-
-def trig_stepper(tm: TrigMethod, sys: System, h: float) -> Callable[[State], State]:
-    """Closed-form one-step map of the kick-first scheme (`trig_coefficients`)."""
-    return state_stepper(sys, trig_coefficients(tm, sys.partition, h))
-
-
-def trig_step(tm: TrigMethod, sys: System, h: float, s: State) -> State:
-    """One closed-form step of the kick-first scheme."""
-    return trig_stepper(tm, sys, h)(s)
+# The closed-form kick-first step is the one step kernel with the scheme's
+# coefficients (`TrigMethod.coefficients`): `stepper` and `erkn_step` serve it.
+trig_stepper = stepper
+trig_step = erkn_step
 
 
 def trig_step_composed(tm: TrigMethod, sys: System, h: float, s: State) -> State:

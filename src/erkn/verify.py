@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .methods import Coefficients, ErknMethod, erkn_coefficients, step_map, stepper
+from .methods import Coefficients, ErknMethod, step_map, stepper
 from .oscfun import sinc
-from .splitting import TrigMethod, _state_dev, trig_coefficients, trig_stepper
-# hamiltonian and oscillatory_energy stay attributes of this module, where
-# perfbench's tracer wraps them
+# trig_stepper (another name for stepper), hamiltonian and oscillatory_energy stay
+# attributes of this module, where perfbench's tracer wraps them
+from .splitting import TrigMethod, _state_dev, trig_stepper  # noqa: F401
 from .systems import State, System, energies, hamiltonian, oscillatory_energy  # noqa: F401
 
 
@@ -46,17 +46,10 @@ class DefectReport:
 
 Method = Union[ErknMethod, TrigMethod]
 
-
-def _stepper_for(method: Method, sys: System, h: float):
-    if isinstance(method, ErknMethod):
-        return stepper(method, sys, h)
-    return trig_stepper(method, sys, h)
-
-
 def adjoint_defect(m: Method, sys: System, h: float, s: State) -> float:
     """Sup-norm of step(-h)(step(h)(s)) - s; zero for a symmetric map."""
-    fwd = _stepper_for(m, sys, h)
-    bwd = _stepper_for(m, sys, -h)
+    fwd = stepper(m, sys, h)
+    bwd = stepper(m, sys, -h)
     return _state_dev(bwd(fwd(s)), s)
 
 
@@ -68,7 +61,7 @@ def symplecticity_defect(
         raise ValueError("fd_eps must be > 0")
     part = sys.partition
     d = part.dim
-    step = _stepper_for(m, sys, h)
+    step = stepper(m, sys, h)
 
     def apply(z: np.ndarray) -> np.ndarray:
         out = step(State(z[:d], z[d:]))
@@ -88,15 +81,13 @@ def symplecticity_defect(
     return float(np.max(np.abs(jac.T @ jj @ jac - jj)))
 
 
-def structure_defects(
-    m: Method, sys: System, h: float, s: State, fd_eps: float = 1e-5
-) -> list[DefectReport]:
+def structure_defects(m: Method, sys: System, h: float, s: State) -> list[DefectReport]:
     """Both probes bundled for reporting."""
     ctx = sys.label
     return [
         DefectReport(m.name, "adjoint", adjoint_defect(m, sys, h, s), h, ctx),
         DefectReport(
-            m.name, "symplecticity", symplecticity_defect(m, sys, h, s, fd_eps), h, ctx
+            m.name, "symplecticity", symplecticity_defect(m, sys, h, s), h, ctx
         ),
     ]
 
@@ -117,7 +108,11 @@ def non_resonance_max_N(h: float, omega: float, c: float, k_max: int = 1000) -> 
     return n
 
 
-def sigma(m: ErknMethod, nu: float, zero_tol: float = 1e-14) -> float:
+# A weight closer to zero than this makes sigma's ratios meaningless.
+ZERO_TOL = 1e-14
+
+
+def sigma(m: ErknMethod, nu: float) -> float:
     """Weight-ratio indicator sigma(nu); identically 1 for the impulse method.
 
         sigma = sinc(nu) cos(nu/2) / (2 bbar(nu))
@@ -125,8 +120,8 @@ def sigma(m: ErknMethod, nu: float, zero_tol: float = 1e-14) -> float:
     """
     bb = m.bbar(nu)
     bw = m.b(nu)
-    if abs(bb) < zero_tol or abs(bw) < zero_tol:
-        raise ZeroCoefficient(f"{m.name}: weight within {zero_tol:g} of zero at nu = {nu:g}")
+    if abs(bb) < ZERO_TOL or abs(bw) < ZERO_TOL:
+        raise ZeroCoefficient(f"{m.name}: weight within {ZERO_TOL:g} of zero at nu = {nu:g}")
     first = sinc(nu) * math.cos(0.5 * nu) / (2.0 * bb)
     second = nu * nu * sinc(nu) * (0.5 * sinc(0.5 * nu)) / (2.0 * bw)
     return first + second
@@ -197,8 +192,7 @@ def assumption_report(
     )
 
 
-@dataclass(frozen=True)
-class DriftRecord:
+class DriftRecord(NamedTuple):
     """One sample of the energy deviations along a trajectory."""
 
     t: float
@@ -228,13 +222,14 @@ def drift_coefficients(
         raise ValueError("stride must be >= 1")
     if sys.initial is None:
         raise ValueError(f"system {sys.label!r} has no designated initial state")
-    build = erkn_coefficients if isinstance(method, ErknMethod) else trig_coefficients
-    return build(method, sys.partition, h)
+    return method.coefficients(sys.partition, h)
 
 
 # Bytes of sampled states held before their energies are evaluated together.
 SAMPLE_BUFFER_BYTES = 1 << 16
 DriftCell = tuple[Method, System, Coefficients]
+# DriftRecords, or the (t, H, I, dH, dI) rows of one drift_engine cell
+DriftRows = Union[Sequence[DriftRecord], np.ndarray]
 
 
 def drift_engine(
@@ -248,9 +243,12 @@ def drift_engine(
     may differ) and their kind (one-stage or kick-first).
 
     Runs n = round(t_end/h) steps and samples step 0, every stride-th step
-    and the final step. A cell whose state turns non-finite leaves the batch.
-    Returns per cell a (k, 3) array of (t, H, I) per sample and None, or for
-    a cell that blew up its finite prefix and a message that says where.
+    and the final step. The batch never changes shape: a cell whose state
+    turns non-finite keeps its samples before that step and a message that
+    says where, and its column is set to zero, a state that the built-in
+    problems keep at zero. Returns per cell a (k, 5) array of
+    (t, H, I, dH, dI) per sample and None, or for a cell that blew up its
+    finite prefix and the message.
     """
     methods, systems, coefs = zip(*cells)
     if len({c.wp_new is None for c in coefs}) > 1:
@@ -259,8 +257,8 @@ def drift_engine(
     taken = np.minimum(np.arange(n // stride + 1 + (n % stride > 0)) * stride, n)  # steps
     energy = np.empty((2, len(taken), len(cells)))  # H and I of every sample
     ends: list = [(len(taken), None)] * len(cells)  # samples kept, blow-up message
-    live = np.arange(len(cells))
     c = Coefficients(*(x[0] if x[0] is None else np.stack(x, axis=1) for x in zip(*coefs)))
+    step = step_map(first.force, c)
     z = np.stack([(s.initial.q, s.initial.p) for s in systems], axis=-1)  # (2, dim, B)
     omega = np.array([s.partition.omega for s in systems])
     slots = max(2, SAMPLE_BUFFER_BYTES // z.nbytes)
@@ -271,9 +269,8 @@ def drift_engine(
         # at least two slots: numpy sums a lone sample of a lone cell in
         # another order, and a cell's energies must not depend on its batch
         used = buf[:, :, : max(hi - lo, 2)]
-        energy[:, lo:hi, live] = np.stack(energies(first, *used, omega))[:, : hi - lo]
+        energy[:, lo:hi] = np.stack(energies(first, *used, omega))[:, : hi - lo]
 
-    step = step_map(first.force, c)
     # blow-up is an expected, reported condition; silence the overflow chatter
     with np.errstate(over="ignore", invalid="ignore"):
         buf[:, :, 0] = z
@@ -281,36 +278,32 @@ def drift_engine(
         for i in range(1, n + 1):
             z = step(z)
             if not np.logical_and.reduce(np.isfinite(z), axis=None):  # one test per batch
-                flush(k)
-                lo = k
-                keep = np.isfinite(z).all(axis=(0, 1))
-                for j in live[~keep]:
-                    ends[j] = k, (f"{getattr(methods[j], 'name', '?')} on {systems[j].label}: "
-                                  f"state became non-finite at step {i} (t = {i * h:g})")
-                live, z, omega, buf = live[keep], z[..., keep], omega[keep], buf[..., keep]
-                if not len(live):
+                bad = ~np.isfinite(z).all(axis=(0, 1))
+                for j in np.flatnonzero(bad):
+                    if ends[j][1] is None:  # only the first blow-up counts
+                        ends[j] = k, (f"{methods[j].name} on {systems[j].label}: "
+                                      f"state became non-finite at step {i} (t = {i * h:g})")
+                if all(message for _, message in ends):
                     break
-                c = Coefficients(*(x if x is None else x[:, keep] for x in c))
-                step = step_map(first.force, c)
+                z[..., bad] = 0.0
             if i == due:
                 if k - lo == slots:
                     flush(k)
                     lo = k
                 buf[:, :, k - lo] = z
                 k, due = k + 1, min(due + stride, n)
-        else:
-            flush(k)
-    t = taken * h
-    return [(np.column_stack((t[:kept], *energy[:, :kept, j])), message)
-            for j, (kept, message) in enumerate(ends)]
+        flush(k)
+        t, rows = taken * h, []
+        for j, (kept, message) in enumerate(ends):
+            e = energy[:, :kept, j]  # H and I, less their first values for dH and dI
+            rows.append((np.column_stack((t[:kept], *e, *(e - e[:, :1]))), message))
+    return rows
 
 
-def drift_records(samples: np.ndarray, blowup: Optional[str] = None) -> list[DriftRecord]:
+def drift_records(rows: np.ndarray, blowup: Optional[str] = None) -> list[DriftRecord]:
     """The DriftRecords of one `drift_engine` cell; raises NonFiniteState,
     carrying them, if the cell blew up."""
-    rows = samples.tolist()
-    _, h0, i0 = rows[0]
-    records = [DriftRecord(t, hh, ii, hh - h0, ii - i0) for t, hh, ii in rows]
+    records = [DriftRecord(*row) for row in rows.tolist()]
     if blowup is not None:
         raise NonFiniteState(blowup, records)
     return records
@@ -330,17 +323,18 @@ def drift_series(
     return drift_records(*drift_engine([cell], h, t_end, stride)[0])
 
 
-def drift_stats(records: Sequence[DriftRecord]) -> DriftStats:
-    """Max |dH|, |dI| and the second-half/first-half ratios of those maxima.
+def drift_stats(records: DriftRows) -> DriftStats:
+    """Max |dH|, |dI| and the second-half/first-half ratios of those maxima,
+    from DriftRecords or from the (t, H, I, dH, dI) rows of `drift_engine`.
 
     A ratio near 1 means no secular growth. Edge rules: with a zero first
     window the ratio is 1.0 if the second is zero too, else inf.
     """
-    if not records:
+    if len(records) == 0:
         raise ValueError("empty drift series")
-    t = np.array([r.t for r in records])
-    abs_dh = np.abs(np.array([r.dH for r in records]))
-    abs_di = np.abs(np.array([r.dI for r in records]))
+    t, _, _, dh, di = np.asarray(records, dtype=float).T
+    abs_dh = np.abs(dh)
+    abs_di = np.abs(di)
     first = t <= 0.5 * (t[0] + t[-1])
 
     def window_ratio(vals: np.ndarray) -> float:

@@ -265,6 +265,22 @@ def test_main_sweep_forwards_every_option(tmp_path):
     assert len(csv) == 4
 
 
+def test_main_sweep_defaults_come_from_experiment_config(tmp_path, capsys):
+    """Without trajectory flags a sweep runs ExperimentConfig's problem, m,
+    t_end and stride, the defaults that `run` gets."""
+    argv = ["sweep", "--methods", "ERKN2,trig:ERKN3", "--omegas", "50", "--hs", "0.1",
+            "--outdir", str(tmp_path / "main")]
+    assert main(argv) == EXIT_OK
+    cfg = ExperimentConfig(method="ERKN2")
+    code = cmd_sweep(["ERKN2", "trig:ERKN3"], [50.0], [0.1], cfg.t_end, tmp_path / "direct",
+                     problem=cfg.problem, m=cfg.m, stride=cfg.stride, out=io.StringIO())
+    assert code == EXIT_OK
+    for name in ("summary.csv", "ERKN2_w50_h0.1.csv", "trig:ERKN3_w50_h0.1.csv"):
+        assert (tmp_path / "main" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+    assert len((tmp_path / "main" / "ERKN2_w50_h0.1.csv").read_text().splitlines()) == 10002
+    assert "(10001 samples)" in capsys.readouterr().out
+
+
 # Invalid numeric input, as (command, arguments): each must exit 2 with one
 # error line, no traceback and no output file.
 INVALID_NUMBERS = [

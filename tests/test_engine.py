@@ -20,6 +20,7 @@ from erkn import (
     METHODS,
     Partition,
     State,
+    System,
     drift_coefficients,
     drift_engine,
     drift_series,
@@ -33,7 +34,7 @@ from erkn import (
     trig_method_from,
     trig_stepper,
 )
-from erkn import verify
+from erkn import cli, verify
 from erkn.cli import EXIT_BLOWUP, EXIT_OK, ExperimentConfig, cmd_run, cmd_sweep
 from erkn.methods import Coefficients
 
@@ -116,7 +117,7 @@ def test_rows_that_blow_up_leave_the_batch_alone(tmp_path):
     """At h = 0.5 some cells of a batch blow up at different steps while
     others finish; at h = 1.0 every cell blows up. Each keeps the finite
     prefix, the warning and the exit code of its solo run, and the cells
-    that finish are unchanged."""
+    that finish are unchanged by the zeroed columns beside them."""
     code, blown = sweep_matches_solo_runs(tmp_path, [50.0, 200.0], [0.5, 1.0], 50.0, 7)
     assert code == EXIT_BLOWUP
     assert 18 < blown < 36
@@ -135,6 +136,69 @@ def test_rows_that_blow_up_leave_the_batch_alone(tmp_path):
             METHODS[name], sys_, h, 50.0, 7))], h, 50.0, 7)
         assert f"non-finite at step {first_bad} (t = {first_bad * h:g})" in message
         assert list(samples[:, 0]) == [i * h for i in range(0, first_bad, 7)]
+
+
+def growth_system(omega: float, q0: float) -> System:
+    """One fast coordinate under the force g(q) = q^2 + 1, which is not zero at
+    q = 0: at omega = 0.5 and h = 0.1 the start q0 = 1 overflows at step 35,
+    and from the zero state again 43 steps later; at omega = 50 the
+    oscillation holds it."""
+    return System(Partition(0, 1, omega),
+                  potential=lambda q: -np.sum(q * q * q / 3.0 + q, axis=0),
+                  force=lambda q: q * q + 1.0, label=f"growth(omega={omega:g})",
+                  initial=State([q0], [0.0]))
+
+
+def first_blowup(step, s: State, steps: int):
+    """The first step of a plain loop of 1-d steps whose state is non-finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, steps + 1):
+            s = step(s)
+            if not (np.isfinite(s.q).all() and np.isfinite(s.p).all()):
+                return i
+    return None
+
+
+def test_a_zeroed_column_that_blows_up_again_changes_nothing(monkeypatch):
+    """The column of a blown cell is set to zero; under a force that does not
+    vanish at zero it blows up a second time. The first blow-up's step and
+    prefix stand, the finite neighbour equals its solo run, and the engine
+    builds its step map once."""
+    h, t_end, stride, method = 0.1, 30.0, 4, METHODS["ERKN2"]
+    blower, neighbour = growth_system(0.5, 1.0), growth_system(50.0, 0.0)
+    cells = [(method, sys_, drift_coefficients(method, sys_, h, t_end, stride))
+             for sys_ in (blower, neighbour)]
+    step = stepper(method, blower, h)
+    first = first_blowup(step, blower.initial, 300)
+    assert first == 35
+    assert first_blowup(step, State([0.0], [0.0]), 300 - first) is not None  # the second one
+    assert first_blowup(stepper(method, neighbour, h), neighbour.initial, 300) is None
+
+    builds = []
+    monkeypatch.setattr(verify, "step_map", lambda *args: builds.append(args) or step_map(*args))
+    (rows, message), (n_rows, n_message) = drift_engine(cells, h, t_end, stride)
+    assert len(builds) == 1
+    assert message == f"ERKN2 on {blower.label}: state became non-finite at step 35 (t = 3.5)"
+    (solo_rows, solo_message), = drift_engine(cells[:1], h, t_end, stride)
+    assert (rows.tobytes(), message) == (solo_rows.tobytes(), solo_message)
+    assert list(rows[:, 0]) == [i * h for i in range(0, first, stride)]
+    (alone, _), = drift_engine(cells[1:], h, t_end, stride)
+    assert n_message is None and n_rows.shape == (76, 5)
+    assert n_rows.tobytes() == alone.tobytes()
+
+
+def test_the_blowup_sweep_builds_one_step_map_per_engine_call(tmp_path, monkeypatch):
+    """32 of 36 cells blow up, at different steps; each (h, kind) group is one
+    engine call and one step map."""
+    calls, builds = [], []
+    monkeypatch.setattr(cli, "drift_engine",
+                        lambda *args: calls.append(args) or drift_engine(*args))
+    monkeypatch.setattr(verify, "step_map", lambda *args: builds.append(args) or step_map(*args))
+    err = io.StringIO()
+    code = cmd_sweep(ALL_METHODS, [50.0, 200.0], [0.5, 1.0], 50.0, tmp_path, stride=7,
+                     out=io.StringIO(), err=err)
+    assert (code, len(err.getvalue().splitlines())) == (EXIT_BLOWUP, 32)
+    assert len(calls) == len(builds) == 4
 
 
 def test_a_batch_takes_one_kind_of_method():

@@ -1,20 +1,23 @@
 """Properties of the one step kernel at random (h, omega, state), and of the
-drift CSV.
+drift CSV and drift statistics.
 
 For the FPU lattice h is drawn log-uniform in [0.005, 0.4] and omega
 log-uniform in [5, 400], the ranges of the structure benchmark; points within
 1e-3 of a kick-filter pole (cos(h*omega/2) = 0) are skipped. States are the
 benchmark start plus an O(0.1) perturbation. The FPU lattice is chaotic, so
 trajectories are compared pointwise over 10 steps only, against the splitting
-compositions that serve as independent oracles. The examples are drawn from a
-fixed seed, so every run checks the same cases.
+compositions that serve as independent oracles. The conjugacy property runs
+up to 50 steps from the benchmark start and skips trajectories that blow up.
+The examples are drawn from a fixed seed, so every run checks the same cases.
 """
 
 import math
 import struct
+from dataclasses import astuple
 from functools import partial
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -24,6 +27,8 @@ from erkn import (
     Partition,
     State,
     adjoint_defect,
+    conjugacy_check,
+    drift_stats,
     fpu_system,
     linear_system,
     stepper,
@@ -40,6 +45,8 @@ M = 3
 STEPS = 10
 ORACLE_TOL = 1e-10
 ADJOINT_TOL = 1e-11  # the bound of acceptance gate 4
+CONJUGACY_TOL = 1e-9  # the bound of acceptance gate 3
+BOUNDED = 100.0  # a trajectory that leaves |state| <= BOUNDED is blowing up
 
 
 def log_uniform(lo: float, hi: float):
@@ -94,6 +101,35 @@ def test_symmetric_methods_are_their_own_adjoint(h, omega, dq, dp):
         assert defect <= ADJOINT_TOL, (name, defect)
 
 
+@PROPERTY
+@given(log_uniform(0.005, 0.4), log_uniform(5.0, 400.0), st.integers(1, 50))
+def test_n_steps_equal_both_conjugate_wrappings(h, omega, n):
+    """conjugacy_check's interior and shifted forms equal n method steps.
+
+    At large h and small omega some trajectories from the benchmark start
+    blow up within 50 steps (ERKN2 at h = 0.357, omega = 5.75 grows from 11
+    to 8e6 in steps 10 to 12 and overflows at step 15). Once a state leaves
+    BOUNDED the forms part by rounding amplified by that growth, so such
+    trajectories are skipped: the identity is checked where it is numerically
+    meaningful. A perturbed start blows up more often, hence the start itself.
+    """
+    assume(abs(math.cos(0.5 * h * omega)) >= 1e-3)
+    sys = fpu_system(M, omega)
+    for name in SYMMETRIC:
+        s = sys.initial
+        step = stepper(METHODS[name], sys, h)
+        largest = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(n):
+                s = step(s)
+                largest = max(largest, float(np.max(np.abs(s.q))), float(np.max(np.abs(s.p))))
+        if not largest <= BOUNDED:
+            continue
+        scale = max(1.0, float(np.max(np.abs(s.q))), float(np.max(np.abs(s.p))))
+        deviation = conjugacy_check(METHODS[name], sys, h, sys.initial, n).max_deviation
+        assert deviation <= CONJUGACY_TOL * scale, (name, n, deviation, scale)
+
+
 def closed_rotation(part: Partition, t: float, q0: np.ndarray, p0: np.ndarray) -> State:
     """The force-free flow over time t, one component at a time: free motion
     on the slow block, the harmonic oscillator of frequency omega on the fast
@@ -143,3 +179,52 @@ def test_drift_csv_round_trips_every_field(tmp_path_factory, records):
     assert header == "t,H,I,dH,dI"
     back = [DriftRecord(*map(float, row.split(","))) for row in rows]
     assert bits(back) == bits(records)  # the sign of zero included
+
+
+def window_ratio(t: list, dev: list) -> float:
+    """The second-half/first-half ratio of max |dev|, written out per sample."""
+    mid = 0.5 * (t[0] + t[-1])
+    first = max(abs(d) for ti, d in zip(t, dev) if ti <= mid)
+    second = max([abs(d) for ti, d in zip(t, dev) if ti > mid], default=0.0)
+    if first == 0.0:
+        return 1.0 if second == 0.0 else math.inf
+    return second / first
+
+
+# zeros are drawn often, so that zero windows come up
+deviation = st.just(0.0) | st.floats(-1e6, 1e6)
+
+
+@PROPERTY
+@given(st.lists(st.builds(DriftRecord, st.floats(0.0, 1e4), st.floats(-1e6, 1e6),
+                          st.floats(-1e6, 1e6), deviation, deviation), min_size=1, max_size=30)
+       .map(lambda records: sorted(records, key=lambda r: r.t)))
+def test_drift_stats_reads_records_and_rows_alike(records):
+    rows = np.array(records)
+    assert rows.shape == (len(records), 5)
+    stats = drift_stats(records)
+    assert drift_stats(rows) == stats
+    t = [r.t for r in records]
+    assert stats.max_dH == max(abs(r.dH) for r in records)
+    assert stats.max_dI == max(abs(r.dI) for r in records)
+    assert stats.window_ratio_H == window_ratio(t, [r.dH for r in records])
+    assert stats.window_ratio_I == window_ratio(t, [r.dI for r in records])
+
+
+def test_drift_stats_edge_rules_for_records_and_rows():
+    """One sample has an empty second window; a zero first window gives 1.0
+    when the second is zero too, else inf; empty input raises."""
+    cases = [
+        ([(0.0, 1.0, 1.0, 0.0, 0.0)], (0.0, 0.0, 1.0, 1.0)),
+        ([(2.0, 1.0, 1.0, -0.5, 0.0)], (0.5, 0.0, 0.0, 1.0)),
+        ([(t, 1.0, 1.0, 0.0, 0.0) for t in range(5)], (0.0, 0.0, 1.0, 1.0)),
+        ([(t, 1.0, 1.0, 0.0 if t < 3 else -2.0, 0.0) for t in range(5)],
+         (2.0, 0.0, math.inf, 1.0)),
+    ]
+    for rows, want in cases:
+        records = [DriftRecord(*map(float, row)) for row in rows]
+        for given_ in (records, np.array(rows, dtype=float)):
+            assert astuple(drift_stats(given_)) == want, rows
+    for empty in ([], np.empty((0, 5))):
+        with pytest.raises(ValueError):
+            drift_stats(empty)
