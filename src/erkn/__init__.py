@@ -15,7 +15,7 @@ from .methods import (
     step_map,
     stepper,
 )
-from .oscfun import block_expand, phi_series, sinc
+from .oscfun import block_expand, sinc
 from .splitting import (
     ConjugacyReport,
     InconsistentFilter,
@@ -37,7 +37,6 @@ from .systems import (
     State,
     System,
     energies,
-    finite_energy_check,
     fpu_initial,
     fpu_system,
     hamiltonian,
@@ -47,7 +46,6 @@ from .systems import (
 from .verify import (
     AssumptionReport,
     DefectReport,
-    DriftRecord,
     DriftStats,
     NonFiniteState,
     ZeroCoefficient,
@@ -55,7 +53,6 @@ from .verify import (
     assumption_report,
     drift_coefficients,
     drift_engine,
-    drift_records,
     drift_series,
     drift_stats,
     non_resonance_max_N,

@@ -28,7 +28,6 @@ from .splitting import InconsistentFilter, NonSymmetricMethod, trig_method_from,
 from .systems import Partition, fpu_system, linear_system
 from .verify import (  # drift_series stays a cli attribute: perfbench's tracer wraps it here
     DriftCell,
-    DriftRows,
     DriftStats,
     Method,
     assumption_report,
@@ -90,11 +89,11 @@ def build_problem(cfg: ExperimentConfig):
     raise KeyError(f"unknown problem {cfg.problem!r}; valid: fpu, linear")
 
 
-def write_drift_csv(path: Union[str, Path], records: DriftRows) -> None:
-    """DriftRecords, or the (t, H, I, dH, dI) rows of `drift_engine`, as CSV."""
+def write_drift_csv(path: Union[str, Path], rows: np.ndarray) -> None:
+    """(t, H, I, dH, dI) rows, such as those of `drift_engine`, as CSV."""
     with open(path, "w", newline="") as fh:
         fh.write("t,H,I,dH,dI\n")
-        for row in np.asarray(records, dtype=float).tolist():
+        for row in np.asarray(rows, dtype=float).tolist():
             fh.write(",".join(map(_fmt, row)) + "\n")
 
 

@@ -116,6 +116,14 @@ class Coefficients(NamedTuple):
     wp: np.ndarray
     wp_new: Optional[np.ndarray] = None
 
+    @classmethod
+    def columns(cls, coefs: Sequence["Coefficients"]) -> "Coefficients":
+        """The (dim, B) coefficients of B step maps of one kind, a column
+        each, for one `step_map` over a (2, dim, B) block of states."""
+        if len({c.wp_new is None for c in coefs}) > 1:
+            raise ValueError("a batch mixes one-stage and kick-first methods")
+        return cls(*(x[0] if x[0] is None else np.stack(x, axis=1) for x in zip(*coefs)))
+
 
 def step_map(force: Callable[[np.ndarray], np.ndarray], c: Coefficients) -> Callable:
     """The one step kernel z -> z+ on z = (q, p) stacked on axis 0: the exact
@@ -161,11 +169,9 @@ def stepper(m, sys: System, h: float) -> Callable[[State], State]:
     coefficients (the method's `coefficients`) are evaluated once here; the
     returned closure is what trajectory loops should call."""
     kernel = step_map(sys.force, m.coefficients(sys.partition, h))
-    wrap = State._wrap  # the rows of the kernel's fresh output
 
     def step(s: State) -> State:
-        z = kernel(np.array((s.q, s.p)))
-        return wrap(z[0], z[1])
+        return State.of(kernel(s.z))  # the kernel's output is fresh
 
     return step
 

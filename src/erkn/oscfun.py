@@ -33,25 +33,6 @@ def sinc(x: float) -> float:
     return math.sin(ax) / ax
 
 
-def phi_series(j: int, v: float, terms: int) -> float:
-    """Truncated series sum_{k<terms} (-1)^k v^k / (2k+j)!.
-
-    Independent oracle for the closed forms: j=0 tends to cos(sqrt(v)) and
-    j=1 to sinc(sqrt(v)). Terms are built by recurrence, so neither v**k nor
-    the factorial is ever formed on its own.
-    """
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    if terms < 1:
-        raise ValueError("need at least one term")
-    term = 1.0 / math.factorial(j)
-    total = term
-    for k in range(1, terms):
-        term *= -v / ((2 * k + j - 1) * (2 * k + j))
-        total += term
-    return total
-
-
 def block_expand(f: Callable[[float], float], part: Partition, nu: float) -> np.ndarray:
     """Diagonal of f(h*Omega) at nu = h*omega: f(0) on the slow block and
     f(nu) on the fast one, expanded for repeated elementwise use."""

@@ -183,9 +183,7 @@ class ConjugacyReport:
 
 
 def _state_dev(a: State, b: State) -> float:
-    dq = float(np.max(np.abs(a.q - b.q)))
-    dp = float(np.max(np.abs(a.p - b.p)))
-    return dq if dq > dp else dp
+    return float(np.max(np.abs(a.z - b.z)))
 
 
 def conjugacy_check(m: ErknMethod, sys: System, h: float, s: State, n: int) -> ConjugacyReport:
@@ -200,6 +198,7 @@ def conjugacy_check(m: ErknMethod, sys: System, h: float, s: State, n: int) -> C
     if n < 1:
         raise ValueError("need n >= 1")
     part = sys.partition
+    part.check_state(s)
     nu = h * part.omega
     ups = upsilon_from(m)
     step = stepper(m, sys, h)

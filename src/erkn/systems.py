@@ -34,30 +34,41 @@ class Partition:
     def dim(self) -> int:
         return self.d1 + self.d2
 
+    def check_state(self, s: "State") -> None:
+        """Raise ValueError unless the state s has this partition's dimension."""
+        if s.z.shape != (2, self.dim):
+            raise ValueError("state does not match system partition")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class State:
-    """Position/momentum pair. Value semantics: arrays are copied in."""
+    """Position/momentum pair, held as one (2, dim) float array z whose rows
+    are q and p. Value semantics: `State(q, p)` copies its input."""
 
-    q: np.ndarray
-    p: np.ndarray
+    z: np.ndarray
 
-    def __post_init__(self) -> None:
-        q = np.array(self.q, dtype=float, copy=True)
-        p = np.array(self.p, dtype=float, copy=True)
+    def __init__(self, q, p) -> None:
+        q = np.asarray(q, dtype=float)
+        p = np.asarray(p, dtype=float)
         if q.ndim != 1 or q.shape != p.shape:
             raise ValueError("q and p must be 1-d arrays of equal length")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "z", np.array((q, p)))
 
     @classmethod
-    def _wrap(cls, q: np.ndarray, p: np.ndarray) -> "State":
-        """A State around two fresh 1-d float arrays that nothing else holds
-        (a step kernel's outputs), without the copy and the checks."""
+    def of(cls, z: np.ndarray) -> "State":
+        """A State around a fresh (2, dim) float array that nothing else holds
+        (a step kernel's output), without the copy and the checks."""
         s = object.__new__(cls)
-        object.__setattr__(s, "q", q)
-        object.__setattr__(s, "p", p)
+        object.__setattr__(s, "z", z)
         return s
+
+    @property
+    def q(self) -> np.ndarray:
+        return self.z[0]
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.z[1]
 
 
 @dataclass(frozen=True)
@@ -95,21 +106,14 @@ def energies(sys: System, q: np.ndarray, p: np.ndarray, omega=None):
 
 def oscillatory_energy(part: Partition, s: State) -> float:
     """Energy of the fast subsystem, I = 1/2 |p2|^2 + 1/2 omega^2 |q2|^2."""
+    part.check_state(s)
     return float(_oscillatory(part.d1, part.omega, s.q, s.p))
 
 
 def hamiltonian(sys: System, s: State) -> float:
     """Total energy H = 1/2 |p|^2 + 1/2 omega^2 |q2|^2 + U(q)."""
-    if s.q.shape != (sys.partition.dim,):
-        raise ValueError("state does not match system partition")
+    sys.partition.check_state(s)
     return float(energies(sys, s.q, s.p)[0])
-
-
-def finite_energy_check(part: Partition, s: State, e: float) -> bool:
-    """True iff 1/2 |p|^2 + 1/2 |omega*q2|^2 <= e (finite-energy start)."""
-    y = part.omega * s.q[part.d1 :]
-    val = 0.5 * float(np.dot(s.p, s.p)) + 0.5 * float(np.dot(y, y))
-    return val <= e
 
 
 def fpu_initial(m: int, omega: float) -> State:
@@ -119,13 +123,10 @@ def fpu_initial(m: int, omega: float) -> State:
         raise ValueError("need m >= 1")
     if omega <= 0.0:
         raise ValueError("initial data needs omega > 0")
-    q = np.zeros(2 * m)
-    p = np.zeros(2 * m)
-    q[0] = 1.0
-    q[m] = 1.0 / omega
-    p[0] = 1.0
-    p[m] = 1.0
-    return State(q, p)
+    z = np.zeros((2, 2 * m))  # rows q and p
+    z[:, 0] = 1.0
+    z[:, m] = (1.0 / omega, 1.0)
+    return State.of(z)
 
 
 def fpu_system(m: int, omega: float) -> System:
@@ -183,25 +184,20 @@ def linear_system(part: Partition) -> System:
     The designated initial state mirrors the quartic-chain pattern: unit
     data on the first slow coordinate, (1/omega, 1) on the first fast one.
     """
-    dim = part.dim
-
     def potential(q: np.ndarray):
         return np.zeros(q.shape[1:])
 
     def force(q: np.ndarray) -> np.ndarray:
         return np.zeros(q.shape)
 
-    q = np.zeros(dim)
-    p = np.zeros(dim)
+    z = np.zeros((2, part.dim))  # rows q and p
     if part.d1 > 0:
-        q[0] = 1.0
-        p[0] = 1.0
-    q[part.d1] = 1.0 / part.omega if part.omega > 0.0 else 1.0
-    p[part.d1] = 1.0
+        z[:, 0] = 1.0
+    z[:, part.d1] = (1.0 / part.omega if part.omega > 0.0 else 1.0, 1.0)
     return System(
         partition=part,
         potential=potential,
         force=force,
         label=f"linear(d1={part.d1}, d2={part.d2}, omega={part.omega:g})",
-        initial=State(q, p),
+        initial=State.of(z),
     )

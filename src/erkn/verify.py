@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -26,11 +26,11 @@ class ZeroCoefficient(ValueError):
 
 
 class NonFiniteState(RuntimeError):
-    """Trajectory blew up; `records` holds the finite prefix."""
+    """Trajectory blew up; `rows` holds the finite prefix's rows."""
 
-    def __init__(self, message: str, records: list["DriftRecord"]):
+    def __init__(self, message: str, rows: np.ndarray):
         super().__init__(message)
-        self.records = records
+        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,7 @@ Method = Union[ErknMethod, TrigMethod]
 
 def adjoint_defect(m: Method, sys: System, h: float, s: State) -> float:
     """Sup-norm of step(-h)(step(h)(s)) - s; zero for a symmetric map."""
+    sys.partition.check_state(s)
     fwd = stepper(m, sys, h)
     bwd = stepper(m, sys, -h)
     return _state_dev(bwd(fwd(s)), s)
@@ -57,27 +58,18 @@ def symplecticity_defect(
     m: Method, sys: System, h: float, s: State, fd_eps: float = 1e-5
 ) -> float:
     """max |M^T J M - J| for the step Jacobian M by central differences."""
-    if fd_eps <= 0.0:
-        raise ValueError("fd_eps must be > 0")
+    if not (math.isfinite(fd_eps) and fd_eps > 0.0):
+        raise ValueError("fd_eps must be finite and > 0")
     part = sys.partition
+    part.check_state(s)
     d = part.dim
-    step = stepper(m, sys, h)
-
-    def apply(z: np.ndarray) -> np.ndarray:
-        out = step(State(z[:d], z[d:]))
-        return np.concatenate([out.q, out.p])
-
-    z0 = np.concatenate([s.q, s.p])
-    jac = np.empty((2 * d, 2 * d))
-    for j in range(2 * d):
-        zp = z0.copy()
-        zp[j] += fd_eps
-        zm = z0.copy()
-        zm[j] -= fd_eps
-        jac[:, j] = (apply(zp) - apply(zm)) / (2.0 * fd_eps)
-    jj = np.zeros((2 * d, 2 * d))
-    jj[:d, d:] = np.eye(d)
-    jj[d:, :d] = -np.eye(d)
+    kernel = step_map(sys.force, Coefficients.columns([m.coefficients(part, h)] * (4 * d)))
+    # one step of 4*dim perturbed states: (q, p) + fd_eps e_j in column j, then - fd_eps e_j
+    eye = np.eye(2 * d)
+    block = s.z.reshape(2 * d, 1) + fd_eps * np.hstack((eye, -eye))
+    out = kernel(block.reshape(2, d, 4 * d)).reshape(2 * d, 4 * d)
+    jac = (out[:, : 2 * d] - out[:, 2 * d :]) / (2.0 * fd_eps)
+    jj = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
     return float(np.max(np.abs(jac.T @ jj @ jac - jj)))
 
 
@@ -192,16 +184,6 @@ def assumption_report(
     )
 
 
-class DriftRecord(NamedTuple):
-    """One sample of the energy deviations along a trajectory."""
-
-    t: float
-    H: float
-    I: float
-    dH: float
-    dI: float
-
-
 @dataclass(frozen=True)
 class DriftStats:
     max_dH: float
@@ -228,8 +210,6 @@ def drift_coefficients(
 # Bytes of sampled states held before their energies are evaluated together.
 SAMPLE_BUFFER_BYTES = 1 << 16
 DriftCell = tuple[Method, System, Coefficients]
-# DriftRecords, or the (t, H, I, dH, dI) rows of one drift_engine cell
-DriftRows = Union[Sequence[DriftRecord], np.ndarray]
 
 
 def drift_engine(
@@ -251,15 +231,12 @@ def drift_engine(
     finite prefix and the message.
     """
     methods, systems, coefs = zip(*cells)
-    if len({c.wp_new is None for c in coefs}) > 1:
-        raise ValueError("a batch mixes one-stage and kick-first methods")
     first, n = systems[0], int(round(t_end / h))
     taken = np.minimum(np.arange(n // stride + 1 + (n % stride > 0)) * stride, n)  # steps
     energy = np.empty((2, len(taken), len(cells)))  # H and I of every sample
     ends: list = [(len(taken), None)] * len(cells)  # samples kept, blow-up message
-    c = Coefficients(*(x[0] if x[0] is None else np.stack(x, axis=1) for x in zip(*coefs)))
-    step = step_map(first.force, c)
-    z = np.stack([(s.initial.q, s.initial.p) for s in systems], axis=-1)  # (2, dim, B)
+    step = step_map(first.force, Coefficients.columns(coefs))
+    z = np.stack([s.initial.z for s in systems], axis=-1)  # (2, dim, B)
     omega = np.array([s.partition.omega for s in systems])
     slots = max(2, SAMPLE_BUFFER_BYTES // z.nbytes)
     buf = np.zeros(z.shape[:2] + (slots, len(cells)))
@@ -300,39 +277,33 @@ def drift_engine(
     return rows
 
 
-def drift_records(rows: np.ndarray, blowup: Optional[str] = None) -> list[DriftRecord]:
-    """The DriftRecords of one `drift_engine` cell; raises NonFiniteState,
-    carrying them, if the cell blew up."""
-    records = [DriftRecord(*row) for row in rows.tolist()]
-    if blowup is not None:
-        raise NonFiniteState(blowup, records)
-    return records
-
-
 def drift_series(
     method: Method, sys: System, h: float, t_end: float, stride: int = 1
-) -> list[DriftRecord]:
+) -> np.ndarray:
     """Integrate from the system's designated initial state, sampling energies:
     the drift engine with one cell.
 
-    Runs n = round(t_end/h) steps; records step 0, every stride-th step, and
-    the final step. Raises NonFiniteState (carrying the finite prefix) if the
-    trajectory blows up.
+    Runs n = round(t_end/h) steps and returns the (t, H, I, dH, dI) rows of
+    step 0, every stride-th step and the final step. Raises NonFiniteState
+    (carrying the finite prefix's rows) if the trajectory blows up.
     """
     cell = (method, sys, drift_coefficients(method, sys, h, t_end, stride))
-    return drift_records(*drift_engine([cell], h, t_end, stride)[0])
+    rows, blowup = drift_engine([cell], h, t_end, stride)[0]
+    if blowup is not None:
+        raise NonFiniteState(blowup, rows)
+    return rows
 
 
-def drift_stats(records: DriftRows) -> DriftStats:
+def drift_stats(rows: np.ndarray) -> DriftStats:
     """Max |dH|, |dI| and the second-half/first-half ratios of those maxima,
-    from DriftRecords or from the (t, H, I, dH, dI) rows of `drift_engine`.
+    from (t, H, I, dH, dI) rows, such as those of `drift_series`.
 
     A ratio near 1 means no secular growth. Edge rules: with a zero first
     window the ratio is 1.0 if the second is zero too, else inf.
     """
-    if len(records) == 0:
+    if len(rows) == 0:
         raise ValueError("empty drift series")
-    t, _, _, dh, di = np.asarray(records, dtype=float).T
+    t, _, _, dh, di = np.asarray(rows, dtype=float).T
     abs_dh = np.abs(dh)
     abs_di = np.abs(di)
     first = t <= 0.5 * (t[0] + t[-1])

@@ -28,7 +28,7 @@ from erkn.cli import (
     resolve_method,
     write_drift_csv,
 )
-from erkn import METHODS, NU_GRID, DriftRecord, TrigMethod
+from erkn import METHODS, NU_GRID, TrigMethod
 
 
 def run_cfg(tmp_path, **kw):
@@ -57,11 +57,11 @@ def test_build_problem_kinds():
 
 def test_csv_format(tmp_path):
     path = tmp_path / "f.csv"
-    recs = [
-        DriftRecord(0.0, 2.00120008, 1.0, 0.0, 0.0),
-        DriftRecord(0.1, 2.0, 1.0, 1.0 / 3.0, -0.25),
-    ]
-    write_drift_csv(path, recs)
+    rows = np.array([
+        (0.0, 2.00120008, 1.0, 0.0, 0.0),
+        (0.1, 2.0, 1.0, 1.0 / 3.0, -0.25),
+    ])
+    write_drift_csv(path, rows)
     raw = path.read_bytes()
     assert b"\r" not in raw
     lines = raw.decode().split("\n")

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from erkn import (
     METHODS,
-    DriftRecord,
     Partition,
     State,
     adjoint_defect,
@@ -166,19 +165,19 @@ def test_steppers_are_exact_on_the_force_free_problem(d1, d2, omega, h):
 finite_or_infinite = st.floats(allow_nan=False)
 
 
-def bits(records: list) -> list[bytes]:
-    return [struct.pack("<5d", r.t, r.H, r.I, r.dH, r.dI) for r in records]
+def bits(rows: list) -> list[bytes]:
+    return [struct.pack("<5d", *row) for row in rows]
 
 
 @PROPERTY
-@given(st.lists(st.builds(DriftRecord, *[finite_or_infinite] * 5), max_size=20))
-def test_drift_csv_round_trips_every_field(tmp_path_factory, records):
+@given(st.lists(st.tuples(*[finite_or_infinite] * 5), max_size=20))
+def test_drift_csv_round_trips_every_field(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("csv") / "drift.csv"
-    write_drift_csv(path, records)
-    header, *rows = path.read_text().splitlines()
+    write_drift_csv(path, rows)
+    header, *lines = path.read_text().splitlines()
     assert header == "t,H,I,dH,dI"
-    back = [DriftRecord(*map(float, row.split(","))) for row in rows]
-    assert bits(back) == bits(records)  # the sign of zero included
+    back = [tuple(map(float, line.split(","))) for line in lines]
+    assert bits(back) == bits(rows)  # the sign of zero included
 
 
 def window_ratio(t: list, dev: list) -> float:
@@ -196,19 +195,20 @@ deviation = st.just(0.0) | st.floats(-1e6, 1e6)
 
 
 @PROPERTY
-@given(st.lists(st.builds(DriftRecord, st.floats(0.0, 1e4), st.floats(-1e6, 1e6),
+@given(st.lists(st.tuples(st.floats(0.0, 1e4), st.floats(-1e6, 1e6),
                           st.floats(-1e6, 1e6), deviation, deviation), min_size=1, max_size=30)
-       .map(lambda records: sorted(records, key=lambda r: r.t)))
+       .map(sorted))
 def test_drift_stats_reads_records_and_rows_alike(records):
+    """A list of (t, H, I, dH, dI) tuples and the same rows as an array."""
     rows = np.array(records)
     assert rows.shape == (len(records), 5)
     stats = drift_stats(records)
     assert drift_stats(rows) == stats
-    t = [r.t for r in records]
-    assert stats.max_dH == max(abs(r.dH) for r in records)
-    assert stats.max_dI == max(abs(r.dI) for r in records)
-    assert stats.window_ratio_H == window_ratio(t, [r.dH for r in records])
-    assert stats.window_ratio_I == window_ratio(t, [r.dI for r in records])
+    t, _, _, dh, di = zip(*records)
+    assert stats.max_dH == max(map(abs, dh))
+    assert stats.max_dI == max(map(abs, di))
+    assert stats.window_ratio_H == window_ratio(t, dh)
+    assert stats.window_ratio_I == window_ratio(t, di)
 
 
 def test_drift_stats_edge_rules_for_records_and_rows():
@@ -222,8 +222,7 @@ def test_drift_stats_edge_rules_for_records_and_rows():
          (2.0, 0.0, math.inf, 1.0)),
     ]
     for rows, want in cases:
-        records = [DriftRecord(*map(float, row)) for row in rows]
-        for given_ in (records, np.array(rows, dtype=float)):
+        for given_ in (rows, np.array(rows, dtype=float)):
             assert astuple(drift_stats(given_)) == want, rows
     for empty in ([], np.empty((0, 5))):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import pytest
 from erkn import (
     Partition,
     State,
-    finite_energy_check,
     fpu_initial,
     fpu_system,
     hamiltonian,
@@ -34,6 +33,10 @@ def test_state_copies_its_arrays():
     s = State(q=q, p=p)
     q[0] = 99.0
     assert s.q[0] == 1.0
+    # q and p are the rows of one (2, dim) array
+    np.testing.assert_array_equal(s.z, [[1.0, 2.0], [3.0, 4.0]])
+    assert np.shares_memory(s.q, s.z) and np.shares_memory(s.p, s.z)
+    assert State([1, 2], [3, 4]).z.dtype == float
 
 
 def test_state_shape_checks():
@@ -64,15 +67,6 @@ def test_fpu_initial_energies():
     assert hamiltonian(sys, s) == 2.00120008
     assert oscillatory_energy(sys.partition, s) == 1.0
     assert sys.potential(s.q) == pytest.approx(0.50120008, abs=1e-15)
-
-
-@pytest.mark.parametrize("omega", [50.0, 200.0, 1000.0])
-def test_finite_energy_is_omega_independent(omega):
-    # omega * (1/omega) rounds to exactly 1, so the value is exactly 3/2
-    s = fpu_initial(3, omega)
-    part = Partition(d1=3, d2=3, omega=omega)
-    assert finite_energy_check(part, s, 1.5)
-    assert not finite_energy_check(part, s, 1.4999999)
 
 
 def test_hamiltonian_is_the_sum_of_its_parts(fpu3):

@@ -1,13 +1,13 @@
 """Structure probes, assumption checkers, and drift bookkeeping."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from erkn import (
     METHODS,
-    DriftRecord,
     NonFiniteState,
     Partition,
     State,
@@ -15,12 +15,16 @@ from erkn import (
     ZeroCoefficient,
     adjoint_defect,
     assumption_report,
+    conjugacy_check,
     drift_series,
     drift_stats,
     fpu_system,
+    hamiltonian,
     non_resonance_max_N,
+    oscillatory_energy,
     sigma,
     sigma_bound_check,
+    stepper,
     structure_defects,
     symplecticity_defect,
     trig_method_from,
@@ -51,9 +55,58 @@ def test_symplecticity_defect_large_for_others():
         assert symplecticity_defect(METHODS[name], sys, 0.5, sys.initial) >= 1e-4
 
 
+def loop_symplecticity_defect(m, sys, h, s, fd_eps=1e-5):
+    """The probe written as 4*dim single `State` steps, one per perturbation."""
+    d = sys.partition.dim
+    step = stepper(m, sys, h)
+    z0 = np.concatenate([s.q, s.p])
+    jac = np.empty((2 * d, 2 * d))
+    for j in range(2 * d):
+        zp, zm = z0.copy(), z0.copy()
+        zp[j] += fd_eps
+        zm[j] -= fd_eps
+        out_p, out_m = step(State(zp[:d], zp[d:])), step(State(zm[:d], zm[d:]))
+        diff = np.concatenate([out_p.q, out_p.p]) - np.concatenate([out_m.q, out_m.p])
+        jac[:, j] = diff / (2.0 * fd_eps)
+    jj = np.zeros((2 * d, 2 * d))
+    jj[:d, d:] = np.eye(d)
+    jj[d:, :d] = -np.eye(d)
+    return float(np.max(np.abs(jac.T @ jj @ jac - jj)))
+
+
+def test_symplecticity_defect_is_a_loop_of_single_steps():
+    """The batched probe equals the per-perturbation loop bit for bit, for
+    both kinds of method, from a perturbed start and for h of either sign."""
+    rng = np.random.default_rng(3)
+    methods = [*METHODS.values(), trig_method_from(METHODS["ERKN3"])]
+    for sys in (fpu_system(3, 50.0), fpu_system(2, 7.0)):
+        s = State(sys.initial.q + rng.normal(0.0, 0.1, sys.partition.dim),
+                  sys.initial.p + rng.normal(0.0, 0.1, sys.partition.dim))
+        for m in methods:
+            for h in (0.1, -0.37):
+                want = loop_symplecticity_defect(m, sys, h, s)
+                assert symplecticity_defect(m, sys, h, s) == want, (m.name, sys.label, h)
+
+
 def test_symplecticity_defect_validates_eps(fpu3):
-    with pytest.raises(ValueError):
-        symplecticity_defect(METHODS["ERKN2"], fpu3, 0.1, fpu3.initial, fd_eps=0.0)
+    for eps in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            symplecticity_defect(METHODS["ERKN2"], fpu3, 0.1, fpu3.initial, fd_eps=eps)
+
+
+def test_probes_reject_a_state_of_another_size(fpu3):
+    """A 1-d state would broadcast against the 6-d lattice's coefficients."""
+    small = State([1.0], [1.0])
+    probes = [
+        lambda: adjoint_defect(METHODS["ERKN2"], fpu3, 0.1, small),
+        lambda: symplecticity_defect(METHODS["ERKN2"], fpu3, 0.1, small),
+        lambda: conjugacy_check(METHODS["ERKN2"], fpu3, 0.1, small, 2),
+        lambda: oscillatory_energy(fpu3.partition, small),
+        lambda: hamiltonian(fpu3, small),
+    ]
+    for probe in probes:
+        with pytest.raises(ValueError, match="does not match"):
+            probe()
 
 
 def test_structure_defects_bundle(fpu3):
@@ -124,18 +177,15 @@ def test_assumption_report_survives_resonant_nu():
 
 
 def test_drift_series_time_grid(fpu3):
-    recs = drift_series(METHODS["ERKN2"], fpu3, 0.1, 1.0)
-    assert len(recs) == 11
-    assert recs[0].t == 0.0
-    assert recs[0].dH == 0.0 and recs[0].dI == 0.0
-    assert recs[0].H == 2.00120008 and recs[0].I == 1.0
-    assert recs[-1].t == pytest.approx(1.0)
+    rows = drift_series(METHODS["ERKN2"], fpu3, 0.1, 1.0)
+    assert rows.shape == (11, 5)
+    assert tuple(rows[0]) == (0.0, 2.00120008, 1.0, 0.0, 0.0)  # t, H, I, dH, dI
+    assert rows[-1, 0] == pytest.approx(1.0)
 
 
 def test_drift_series_stride_keeps_final_row(fpu3):
-    recs = drift_series(METHODS["ERKN2"], fpu3, 0.1, 1.0, stride=3)
-    ts = [r.t for r in recs]
-    assert ts == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
+    rows = drift_series(METHODS["ERKN2"], fpu3, 0.1, 1.0, stride=3)
+    assert rows[:, 0] == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0])
 
 
 def test_drift_series_validation(fpu3):
@@ -157,25 +207,28 @@ def test_drift_series_validation(fpu3):
 
 def test_drift_series_reports_blow_up():
     """An unstable stepsize overflows the quartic force; the partial series
-    up to the last finite state is preserved on the exception."""
+    up to the last finite state is preserved on the exception. The energies
+    of the last finite states may already overflow to inf, so only the time
+    column is checked: the sampled grid, ending before the blow-up."""
     sys = fpu_system(3, 50.0)
     with pytest.raises(NonFiniteState) as exc_info:
         drift_series(METHODS["ERKN2"], sys, 1.0, 50.0)
-    recs = exc_info.value.records
-    assert len(recs) >= 1
-    assert recs[0].t == 0.0
-    assert all(np.isfinite(r.H) or r.t > 0 for r in recs)
+    rows = exc_info.value.rows
+    t_blowup = float(re.search(r"\(t = ([^)]*)\)", str(exc_info.value)).group(1))
+    assert rows.shape[0] >= 1 and rows.shape[1] == 5
+    assert rows[:, 0].tolist() == [float(i) for i in range(len(rows))]  # stride 1, h = 1
+    assert rows[-1, 0] < t_blowup
 
 
 def test_drift_stats_windows():
-    recs = [
-        DriftRecord(0.0, 1.0, 1.0, 0.0, 0.0),
-        DriftRecord(1.0, 1.0, 1.0, 1.0, 0.5),
-        DriftRecord(2.0, 1.0, 1.0, -0.5, 0.5),
-        DriftRecord(3.0, 1.0, 1.0, 0.25, 0.5),
-        DriftRecord(4.0, 1.0, 1.0, -2.0, 0.5),
-    ]
-    st = drift_stats(recs)
+    rows = np.array([
+        (0.0, 1.0, 1.0, 0.0, 0.0),
+        (1.0, 1.0, 1.0, 1.0, 0.5),
+        (2.0, 1.0, 1.0, -0.5, 0.5),
+        (3.0, 1.0, 1.0, 0.25, 0.5),
+        (4.0, 1.0, 1.0, -2.0, 0.5),
+    ])
+    st = drift_stats(rows)
     assert st.max_dH == 2.0
     assert st.max_dI == 0.5
     # first window covers t <= 2 (max 1.0), second t in (2, 4] (max 2.0)
@@ -184,10 +237,10 @@ def test_drift_stats_windows():
 
 
 def test_drift_stats_edge_rules():
-    flat = [DriftRecord(float(t), 1.0, 1.0, 0.0, 0.0) for t in range(5)]
+    flat = [(float(t), 1.0, 1.0, 0.0, 0.0) for t in range(5)]
     st = drift_stats(flat)
     assert st.window_ratio_H == 1.0
-    grow = [DriftRecord(float(t), 1.0, 1.0, 0.0 if t < 3 else 1.0, 0.0) for t in range(5)]
+    grow = [(float(t), 1.0, 1.0, 0.0 if t < 3 else 1.0, 0.0) for t in range(5)]
     assert drift_stats(grow).window_ratio_H == math.inf
     with pytest.raises(ValueError):
         drift_stats([])
@@ -195,6 +248,6 @@ def test_drift_stats_edge_rules():
 
 def test_trig_scheme_runs_through_drift_series(fpu3):
     tm = trig_method_from(METHODS["ERKN2"])
-    recs = drift_series(tm, fpu3, 0.1, 5.0)
-    assert len(recs) == 51
-    assert all(np.isfinite(r.dH) for r in recs)
+    rows = drift_series(tm, fpu3, 0.1, 5.0)
+    assert rows.shape == (51, 5)
+    assert np.isfinite(rows[:, 3]).all()
