@@ -90,11 +90,11 @@ def build_problem(cfg: ExperimentConfig):
 
 
 def write_drift_csv(path: Union[str, Path], rows: np.ndarray) -> None:
-    """(t, H, I, dH, dI) rows, such as those of `drift_engine`, as CSV."""
+    """(t, H, I, dH, dI) rows, such as those of `drift_engine`, as CSV: one
+    `%` format of every value (`%.17g` is `_fmt`) and one write."""
     with open(path, "w", newline="") as fh:
-        fh.write("t,H,I,dH,dI\n")
-        for row in np.asarray(rows, dtype=float).tolist():
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        fh.write(("t,H,I,dH,dI\n" + "%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows))
+                 % tuple(np.asarray(rows, dtype=float).ravel().tolist()))
 
 
 def default_output_name(method: str, omega: float, h: float) -> str:
@@ -128,17 +128,15 @@ def _run_cells(
 ) -> Iterator[tuple[int, Optional[DriftStats]]]:
     """The run path of `run` and `sweep`, for cells that `_prepare` built
     and that share problem, m, t_end and stride: one `drift_engine` call per
-    (h, kind) group (a kick-first step takes a second force), then in cell
-    order the drift CSV of the engine's rows and (exit code, drift statistics)
-    of each cell. A blow-up writes the finite prefix and yields EXIT_BLOWUP
-    with its statistics; a failed write yields EXIT_IO and ends the run."""
-    groups: dict[tuple[float, bool], list[int]] = {}
-    for i, (cfg, (_, _, coefs)) in enumerate(cells):
-        groups.setdefault((cfg.h, coefs.wp_new is None), []).append(i)
+    h, one-stage and kick-first cells alike, then in cell order the drift CSV
+    of the engine's rows and (exit code, drift statistics) of each cell. A
+    blow-up writes the finite prefix and yields EXIT_BLOWUP with its
+    statistics; a failed write yields EXIT_IO and ends the run."""
     results = {}
-    for members in groups.values():
+    for h in dict.fromkeys(cfg.h for cfg, _ in cells):
+        members = [i for i, (cfg, _) in enumerate(cells) if cfg.h == h]
         cfg = cells[members[0]][0]
-        batch = drift_engine([cells[i][1] for i in members], cfg.h, cfg.t_end, cfg.stride)
+        batch = drift_engine([cells[i][1] for i in members], h, cfg.t_end, cfg.stride)
         results.update(zip(members, batch))
 
     for i, (cfg, _) in enumerate(cells):

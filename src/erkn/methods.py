@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -105,7 +105,8 @@ def rotation(
 class Coefficients(NamedTuple):
     """Diagonals of one step map (see `step_map`): length-dim vectors, or
     (dim, B) blocks with a column per trajectory. wp_new is None for a
-    one-stage method and set for a kick-first scheme."""
+    one-stage method and set for a kick-first scheme, whose columns kick_first
+    marks (a one-stage column of a mixed batch gets wp_new = 0)."""
 
     cos: np.ndarray
     hsinc: np.ndarray
@@ -115,14 +116,16 @@ class Coefficients(NamedTuple):
     wq: np.ndarray
     wp: np.ndarray
     wp_new: Optional[np.ndarray] = None
+    kick_first: Union[bool, np.ndarray] = True
 
     @classmethod
     def columns(cls, coefs: Sequence["Coefficients"]) -> "Coefficients":
-        """The (dim, B) coefficients of B step maps of one kind, a column
-        each, for one `step_map` over a (2, dim, B) block of states."""
-        if len({c.wp_new is None for c in coefs}) > 1:
-            raise ValueError("a batch mixes one-stage and kick-first methods")
-        return cls(*(x[0] if x[0] is None else np.stack(x, axis=1) for x in zip(*coefs)))
+        """The (dim, B) coefficients of B step maps, a column each, for one
+        `step_map` over a (2, dim, B) block of states."""
+        if any(c.wp_new is not None for c in coefs):
+            coefs = [c if c.wp_new is not None
+                     else c._replace(wp_new=np.zeros_like(c.cos), kick_first=False) for c in coefs]
+        return cls(*(x[0] if x[0] is None else np.stack(x, axis=-1) for x in zip(*coefs)))
 
 
 def step_map(force: Callable[[np.ndarray], np.ndarray], c: Coefficients) -> Callable:
@@ -131,22 +134,29 @@ def step_map(force: Callable[[np.ndarray], np.ndarray], c: Coefficients) -> Call
     Q = stage_q q + stage_p p,
 
         q+ = cos(h*Omega) q + h sinc(h*Omega) p + wq g(Q)
-        p+ = -Omega sin(h*Omega) q + cos(h*Omega) p + wp g(Q) [+ wp_new g(stage_q q+)]
+        p+ = -Omega sin(h*Omega) q + cos(h*Omega) p + wp g(Q)
 
     z is (2, dim) for one state, or (2, dim, B) for a block of B states with
     coefficient columns to match. Both rows of z go through each operation
-    at once, and every sum is formed in the order written above. The
-    bracketed second force evaluation, at the new position, is what the
-    kick-first scheme adds to a one-stage method. It is chosen here, once, so
-    the one-stage step carries no per-step test for it.
+    at once, and every sum is formed in the order written above.
+
+    With wp_new set, z = (q, p, g) (see `lift`) carries the force g that a
+    kick-first column took at phi q+ last step, where its next step opens:
+
+        X = E ((S_q q + S_p p) + C g),  F = g(X),  g+ = F
+        q+ = ((cos(h*Omega) q + h sinc(h*Omega) p) + A_q F) + B_q g
+        p+ = (((cos(h*Omega) p - Omega sin(h*Omega) q) + A_p F) + B_p g) + wp_new F
+
+    E = phi (stage_q), S = (cos, h sinc), C = wq, A = 0, B = (wq, wp) in a
+    kick-first column; E = 1, S = (stage_q, stage_p), C = 0, A = (wq, wp),
+    B = 0 in a one-stage one. A non-finite F spoils its column (0 inf = nan).
     """
     same = np.array((c.cos, c.cos))  # multiplies (q, p)
     swapped = np.array((c.hsinc, -c.omega_sin))  # multiplies (p, q)
-    stage = np.array((c.stage_q, c.stage_p))
     weight = np.array((c.wq, c.wp))
-    stage_q, wp_new = c.stage_q, c.wp_new
 
-    if wp_new is None:
+    if c.wp_new is None:
+        stage = np.array((c.stage_q, c.stage_p))
 
         def step(z: np.ndarray) -> np.ndarray:
             x = stage * z
@@ -154,26 +164,42 @@ def step_map(force: Callable[[np.ndarray], np.ndarray], c: Coefficients) -> Call
 
         return step
 
-    def step_kick_first(z: np.ndarray) -> np.ndarray:
+    kick, wp_new, scale = c.kick_first, c.wp_new, np.where(c.kick_first, c.stage_q, 1.0)
+    stage = np.where(kick, (c.cos, c.hsinc, c.wq), (c.stage_q, c.stage_p, np.zeros_like(c.cos)))
+    on_force, on_carried = np.where(kick, 0.0, weight), np.where(kick, weight, 0.0)
+
+    def step_carried(z: np.ndarray) -> np.ndarray:
         x = stage * z
-        zn = same * z + swapped * z[::-1] + weight * force(x[0] + x[1])
-        zn[1] += wp_new * force(stage_q * zn[0])
+        f = force(scale * ((x[0] + x[1]) + x[2]))
+        zn = np.empty_like(z)
+        zn[:2] = same * z[:2] + swapped * z[1::-1] + on_force * f + on_carried * z[2]
+        zn[1] += wp_new * f
+        zn[2] = f
         return zn
 
-    return step_kick_first
+    return step_carried
+
+
+def lift(force: Callable[[np.ndarray], np.ndarray], c: Coefficients, z: np.ndarray) -> np.ndarray:
+    """The state that `step_map(force, c)` advances, from z = (q, p): z itself
+    if wp_new is None, else (q, p, g) with g = force(phi q) in kick-first
+    columns and 0 in one-stage ones. One force call per trajectory start."""
+    if c.wp_new is None:
+        return z
+    return np.concatenate((z, np.where(c.kick_first, force(c.stage_q * z[0]), 0.0)[None]))
 
 
 def stepper(m, sys: System, h: float) -> Callable[[State], State]:
     """Bind (method, system, h) into a one-step map on `State`s, for an
     `ErknMethod` or a kick-first `TrigMethod` alike. All h-dependent
     coefficients (the method's `coefficients`) are evaluated once here; the
-    returned closure is what trajectory loops should call."""
-    kernel = step_map(sys.force, m.coefficients(sys.partition, h))
-
-    def step(s: State) -> State:
-        return State.of(kernel(s.z))  # the kernel's output is fresh
-
-    return step
+    returned closure is what trajectory loops should call (lifting each state
+    of a kick-first scheme, so it makes two force calls)."""
+    c = m.coefficients(sys.partition, h)
+    kernel = step_map(sys.force, c)
+    if c.wp_new is None:
+        return lambda s: State.of(kernel(s.z))  # the kernel's output is fresh
+    return lambda s: State.of(kernel(lift(sys.force, c, s.z))[:2])
 
 
 def erkn_step(m, sys: System, h: float, s: State) -> State:

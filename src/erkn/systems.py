@@ -40,12 +40,17 @@ class Partition:
             raise ValueError("state does not match system partition")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class State:
     """Position/momentum pair, held as one (2, dim) float array z whose rows
-    are q and p. Value semantics: `State(q, p)` copies its input."""
+    are q and p. Value semantics: `State(q, p)` copies its input, `==`
+    compares z, and a state (being mutable) is unhashable."""
 
     z: np.ndarray
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        return np.array_equal(self.z, other.z) if isinstance(other, State) else NotImplemented
 
     def __init__(self, q, p) -> None:
         q = np.asarray(q, dtype=float)

@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .methods import Coefficients, ErknMethod, step_map, stepper
+from .methods import Coefficients, ErknMethod, lift, step_map, stepper
 from .oscfun import sinc
 # trig_stepper (another name for stepper), hamiltonian and oscillatory_energy stay
 # attributes of this module, where perfbench's tracer wraps them
@@ -63,11 +63,11 @@ def symplecticity_defect(
     part = sys.partition
     part.check_state(s)
     d = part.dim
-    kernel = step_map(sys.force, Coefficients.columns([m.coefficients(part, h)] * (4 * d)))
+    coefs = Coefficients.columns([m.coefficients(part, h)] * (4 * d))
     # one step of 4*dim perturbed states: (q, p) + fd_eps e_j in column j, then - fd_eps e_j
     eye = np.eye(2 * d)
-    block = s.z.reshape(2 * d, 1) + fd_eps * np.hstack((eye, -eye))
-    out = kernel(block.reshape(2, d, 4 * d)).reshape(2 * d, 4 * d)
+    block = (s.z.reshape(2 * d, 1) + fd_eps * np.hstack((eye, -eye))).reshape(2, d, 4 * d)
+    out = step_map(sys.force, coefs)(lift(sys.force, coefs, block))[:2].reshape(2 * d, 4 * d)
     jac = (out[:, : 2 * d] - out[:, 2 * d :]) / (2.0 * fd_eps)
     jj = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
     return float(np.max(np.abs(jac.T @ jj @ jac - jj)))
@@ -204,11 +204,15 @@ def drift_coefficients(
         raise ValueError("stride must be >= 1")
     if sys.initial is None:
         raise ValueError(f"system {sys.label!r} has no designated initial state")
+    sys.partition.check_state(sys.initial)
     return method.coefficients(sys.partition, h)
 
 
 # Bytes of sampled states held before their energies are evaluated together.
 SAMPLE_BUFFER_BYTES = 1 << 16
+# Steps between finiteness tests. A non-finite entry stays so under every step
+# map here (a finite cos scales it; nan and inf absorb sums).
+FINITE_TEST_STEPS = 64
 DriftCell = tuple[Method, System, Coefficients]
 
 
@@ -220,22 +224,25 @@ def drift_engine(
     are (dim, B) blocks with a column per cell, stacked into one (2, dim, B)
     state that one `step_map` over the cells' coefficient columns advances.
     The cells share their problem (force, potential and block sizes; omega
-    may differ) and their kind (one-stage or kick-first).
+    may differ), not their kind: with a kick-first cell the state carries a
+    third row, the force (`lift`), and a step still makes one force call.
 
     Runs n = round(t_end/h) steps and samples step 0, every stride-th step
-    and the final step. The batch never changes shape: a cell whose state
-    turns non-finite keeps its samples before that step and a message that
-    says where, and its column is set to zero, a state that the built-in
-    problems keep at zero. Returns per cell a (k, 5) array of
-    (t, H, I, dH, dI) per sample and None, or for a cell that blew up its
-    finite prefix and the message.
+    and the final step. A block of FINITE_TEST_STEPS steps that ends
+    non-finite is stepped again one step at a time to find each blow-up's
+    step. The batch never changes shape: a cell whose state turns non-finite
+    keeps its samples before that step and a message that says where, and its
+    column is set to zero, a state that the built-in problems keep at zero.
+    Returns per cell a (k, 5) array of (t, H, I, dH, dI) per sample and None,
+    or for a cell that blew up its finite prefix and the message.
     """
     methods, systems, coefs = zip(*cells)
     first, n = systems[0], int(round(t_end / h))
     taken = np.minimum(np.arange(n // stride + 1 + (n % stride > 0)) * stride, n)  # steps
     energy = np.empty((2, len(taken), len(cells)))  # H and I of every sample
     ends: list = [(len(taken), None)] * len(cells)  # samples kept, blow-up message
-    step = step_map(first.force, Coefficients.columns(coefs))
+    coefs = Coefficients.columns(coefs)
+    step = step_map(first.force, coefs)
     z = np.stack([s.initial.z for s in systems], axis=-1)  # (2, dim, B)
     omega = np.array([s.partition.omega for s in systems])
     slots = max(2, SAMPLE_BUFFER_BYTES // z.nbytes)
@@ -251,24 +258,32 @@ def drift_engine(
     # blow-up is an expected, reported condition; silence the overflow chatter
     with np.errstate(over="ignore", invalid="ignore"):
         buf[:, :, 0] = z
+        z = lift(first.force, coefs, z)
         k, due = 1, min(stride, n)  # index and step of the next sample
-        for i in range(1, n + 1):
-            z = step(z)
-            if not np.logical_and.reduce(np.isfinite(z), axis=None):  # one test per batch
+        for done in range(0, n, FINITE_TEST_STEPS):
+            block, start = range(done + 1, min(done + FINITE_TEST_STEPS, n) + 1), z
+            for i in block:
+                z = step(z)
+                if i == due:
+                    if k - lo == slots:
+                        flush(k)
+                        lo = k
+                    buf[:, :, k - lo] = z[:2]
+                    k, due = k + 1, min(due + stride, n)
+            if np.logical_and.reduce(np.isfinite(z), axis=None):  # one test per block
+                continue
+            z = start  # kernel outputs are fresh, so the block's start is intact
+            for i in block:
+                z = step(z)
                 bad = ~np.isfinite(z).all(axis=(0, 1))
                 for j in np.flatnonzero(bad):
                     if ends[j][1] is None:  # only the first blow-up counts
-                        ends[j] = k, (f"{methods[j].name} on {systems[j].label}: "
-                                      f"state became non-finite at step {i} (t = {i * h:g})")
-                if all(message for _, message in ends):
-                    break
+                        ends[j] = (np.searchsorted(taken, i),
+                                   f"{methods[j].name} on {systems[j].label}: "
+                                   f"state became non-finite at step {i} (t = {i * h:g})")
                 z[..., bad] = 0.0
-            if i == due:
-                if k - lo == slots:
-                    flush(k)
-                    lo = k
-                buf[:, :, k - lo] = z
-                k, due = k + 1, min(due + stride, n)
+            if all(message for _, message in ends):
+                break
         flush(k)
         t, rows = taken * h, []
         for j, (kept, message) in enumerate(ends):

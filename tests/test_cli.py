@@ -71,6 +71,22 @@ def test_csv_format(tmp_path):
     assert float(lines[2].split(",")[3]) == 1.0 / 3.0
 
 
+@pytest.mark.parametrize("rows", [
+    np.array([(0.0, np.nan, np.inf, -np.inf, -0.0),
+              (5e-324, -2.2250738585072014e-308, 1e-310, 1.0 / 3.0, -1e300)]),
+    np.zeros((0, 5)),
+    np.random.default_rng(3).standard_normal((2001, 5)) * 10.0 ** np.arange(-2, 3),
+])
+def test_csv_bytes_equal_a_per_value_format(tmp_path, rows):
+    """One `%` format of the whole file writes what format(x, ".17g") gives
+    value by value, for nan, +-inf, -0.0, subnormals, an empty series and a
+    run's 2001 rows."""
+    path = tmp_path / "f.csv"
+    write_drift_csv(path, rows)
+    lines = ["t,H,I,dH,dI"] + [",".join(format(x, ".17g") for x in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_default_output_name_formatting():
     assert default_output_name("ERKN2", 50.0, 0.1) == "ERKN2_w50_h0.1.csv"
     assert default_output_name("trig:ERKN3", 200.0, 0.01) == "trig:ERKN3_w200_h0.01.csv"

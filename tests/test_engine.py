@@ -36,7 +36,7 @@ from erkn import (
 )
 from erkn import cli, verify
 from erkn.cli import EXIT_BLOWUP, EXIT_OK, ExperimentConfig, cmd_run, cmd_sweep
-from erkn.methods import Coefficients
+from erkn.methods import Coefficients, lift
 
 ALL_METHODS = list(METHODS) + ["trig:ERKN2", "trig:ERKN3", "trig:ERKN4"]
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -188,8 +188,8 @@ def test_a_zeroed_column_that_blows_up_again_changes_nothing(monkeypatch):
 
 
 def test_the_blowup_sweep_builds_one_step_map_per_engine_call(tmp_path, monkeypatch):
-    """32 of 36 cells blow up, at different steps; each (h, kind) group is one
-    engine call and one step map."""
+    """32 of 36 cells blow up, at different steps; the cells of each h, one-stage
+    and kick-first alike, are one engine call and one step map."""
     calls, builds = [], []
     monkeypatch.setattr(cli, "drift_engine",
                         lambda *args: calls.append(args) or drift_engine(*args))
@@ -198,15 +198,78 @@ def test_the_blowup_sweep_builds_one_step_map_per_engine_call(tmp_path, monkeypa
     code = cmd_sweep(ALL_METHODS, [50.0, 200.0], [0.5, 1.0], 50.0, tmp_path, stride=7,
                      out=io.StringIO(), err=err)
     assert (code, len(err.getvalue().splitlines())) == (EXIT_BLOWUP, 32)
-    assert len(calls) == len(builds) == 4
+    assert len(calls) == len(builds) == 2
 
 
-def test_a_batch_takes_one_kind_of_method():
-    sys_ = fpu_system(3, 50.0)
-    kinds = [METHODS["ERKN2"], trig_method_from(METHODS["ERKN2"])]
-    cells = [(m, sys_, drift_coefficients(m, sys_, 0.1, 1.0)) for m in kinds]
-    with pytest.raises(ValueError):
-        drift_engine(cells, 0.1, 1.0)
+def resolve(name: str):
+    return METHODS[name] if name in METHODS else trig_method_from(METHODS[name[5:]])
+
+
+def test_a_batch_mixes_one_stage_and_kick_first_cells():
+    """Every method of both kinds at two omegas in one batch, at h = 0.5 where
+    some cells blow up: each column comes out as its solo run, rows and
+    message."""
+    h, t_end, stride = 0.5, 50.0, 7
+    cells = [(resolve(name), sys_, drift_coefficients(resolve(name), sys_, h, t_end, stride))
+             for name in ALL_METHODS for sys_ in (fpu_system(3, 50.0), fpu_system(3, 200.0))]
+    batch = drift_engine(cells, h, t_end, stride)
+    blown = 0
+    for cell, (rows, message) in zip(cells, batch):
+        (solo_rows, solo_message), = drift_engine([cell], h, t_end, stride)
+        assert (rows.tobytes(), message) == (solo_rows.tobytes(), solo_message)
+        blown += message is not None
+    assert 0 < blown < len(cells)
+    kinds = Coefficients.columns([c for _, _, c in cells]).kick_first
+    assert kinds.tolist() == [name.startswith("trig:") for name in ALL_METHODS for _ in "ab"]
+
+
+def counted_force(sys_: System, calls: list) -> System:
+    return dataclasses.replace(sys_, force=lambda q: calls.append(q.shape) or sys_.force(q))
+
+
+@pytest.mark.parametrize("names, lifts", [
+    (["ERKN2", "ERKN5"], 0),
+    (["trig:ERKN2", "trig:ERKN4"], 1),
+    (["ERKN1", "trig:ERKN3", "ERKN6"], 1),
+])
+def test_one_force_call_per_engine_step(names, lifts):
+    """One-stage, kick-first and mixed batches make one force call a step; a
+    batch that holds a kick-first column adds one, to lift its start."""
+    h, steps, calls = 0.1, 100, []
+    sys_ = counted_force(fpu_system(3, 50.0), calls)
+    cells = [(resolve(name), sys_, drift_coefficients(resolve(name), sys_, h, steps * h))
+             for name in names]
+    assert all(message is None for _, message in drift_engine(cells, h, steps * h))
+    assert calls == [(6, len(names))] * (steps + lifts)
+
+
+def threshold_system(q0: float) -> System:
+    """A free slow coordinate that moves by exactly 1 a step at h = 1 (p = 1),
+    under a force that is 0 while it is at most 0 and inf beyond. From
+    q0 = 1.25 - s, ERKN2's stage point passes 0 at step s."""
+    def force(q: np.ndarray) -> np.ndarray:
+        return np.where(q[:1] > 0.0, np.inf, 0.0) * np.ones_like(q)
+
+    return System(Partition(1, 1, 3.0), potential=lambda q: np.zeros(q.shape[1:]),
+                  force=force, label=f"threshold(q0={q0:g})", initial=State([q0, 0.0], [1.0, 0.0]))
+
+
+def test_blow_ups_at_the_edges_of_a_finiteness_block():
+    """Finiteness is tested once per block of FINITE_TEST_STEPS steps. Cells
+    that blow up at step 1, at the last step of a block, at the first step of
+    the next, twice within one block and at the final step keep the exact
+    step of a plain loop, and equal their solo runs byte for byte."""
+    block, method, stride = verify.FINITE_TEST_STEPS, METHODS["ERKN2"], 7
+    n = 3 * block + 5
+    targets = [1, block, block + 1, 2 * block + 5, 2 * block + 30, n]
+    cells = [(method, sys_, drift_coefficients(method, sys_, 1.0, float(n), stride))
+             for sys_ in (threshold_system(1.25 - s) for s in targets)]
+    for target, cell, (rows, message) in zip(targets, cells, drift_engine(cells, 1.0, n, stride)):
+        assert first_blowup(stepper(method, cell[1], 1.0), cell[1].initial, n) == target
+        assert message.endswith(f"state became non-finite at step {target} (t = {target:g})")
+        assert list(rows[:, 0]) == [float(i) for i in range(0, target, stride)]
+        (solo_rows, solo_message), = drift_engine([cell], 1.0, n, stride)
+        assert (rows.tobytes(), message) == (solo_rows.tobytes(), solo_message)
 
 
 def test_a_finite_state_near_the_largest_float_is_no_blow_up():
@@ -232,25 +295,29 @@ def batch_of(sys_by_omega: dict, names: list, h: float):
 
 def assert_rows_equal_single_steppers(sys_by_omega: dict, h: float) -> None:
     """Over 100 steps, each column of the batched kernel equals its 1-d
-    stepper bit for bit, and the engine's energy samples equal the energies of
-    those 1-d states."""
+    stepper, and the engine's energy samples equal the energies of those 1-d
+    states. One-stage and kick-first batches match bit for bit. In a mixed
+    batch a one-stage column adds terms with exact-zero coefficients, which
+    can turn a -0.0 into +0.0; its values, and so its energies, are equal."""
     steps = 100
-    for names in (list(METHODS), ["trig:ERKN2", "trig:ERKN3", "trig:ERKN4"]):
+    for names in (list(METHODS), ALL_METHODS[6:], ALL_METHODS):
+        exact = names != ALL_METHODS
         cells, steppers = batch_of(sys_by_omega, names, h)
         samples = drift_engine(cells, h, steps * h)
-        coefs = [c for _, _, c in cells]
-        block = Coefficients(*(x[0] if x[0] is None else np.stack(x, axis=1)
-                               for x in zip(*coefs)))
-        kernel = step_map(cells[0][1].force, block)
+        block = Coefficients.columns([c for _, _, c in cells])
+        force = cells[0][1].force
+        kernel = step_map(force, block)
         z = np.stack([(sys_.initial.q, sys_.initial.p) for _, sys_, _ in cells], axis=-1)
+        z = lift(force, block, z)
         states = [sys_.initial for _, sys_, _ in cells]
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, steps + 1):
                 z = kernel(z)
                 states = [step(s) for step, s in zip(steppers, states)]
                 for j, s in enumerate(states):
-                    assert z[0, :, j].tobytes() == s.q.tobytes(), (names[j // 2], i)
-                    assert z[1, :, j].tobytes() == s.p.tobytes(), (names[j // 2], i)
+                    got = z[:2, :, j]
+                    assert (got.tobytes() == s.z.tobytes() if exact
+                            else np.array_equal(got, s.z, equal_nan=True)), (names[j // 2], i)
                     rows, blowup = samples[j]
                     if blowup is None:
                         H, I = energies(cells[j][1], s.q, s.p)

@@ -39,6 +39,18 @@ def test_state_copies_its_arrays():
     assert State([1, 2], [3, 4]).z.dtype == float
 
 
+def test_states_compare_by_value_and_are_unhashable():
+    a = State([1.0, 2.0], [3.0, 4.0])
+    assert a == State(np.array([1.0, 2.0]), [3.0, 4.0])
+    assert a != State([1.0, 2.0], [3.0, 5.0])
+    assert a != State([1.0, 2.0, 0.0], [3.0, 4.0, 0.0])
+    assert a != "state" and a != [[1.0, 2.0], [3.0, 4.0]]
+    assert State([0.0], [1.0]) == State([-0.0], [1.0])
+    assert State([np.nan], [1.0]) != State([np.nan], [1.0])
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_state_shape_checks():
     with pytest.raises(ValueError):
         State(q=np.zeros(2), p=np.zeros(3))

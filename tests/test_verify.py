@@ -1,5 +1,6 @@
 """Structure probes, assumption checkers, and drift bookkeeping."""
 
+import dataclasses
 import math
 import re
 
@@ -16,6 +17,7 @@ from erkn import (
     adjoint_defect,
     assumption_report,
     conjugacy_check,
+    drift_coefficients,
     drift_series,
     drift_stats,
     fpu_system,
@@ -203,6 +205,18 @@ def test_drift_series_validation(fpu3):
     )
     with pytest.raises(ValueError):
         drift_series(METHODS["ERKN2"], bare, 0.1, 1.0)
+
+
+def test_a_start_of_the_wrong_size_is_refused_before_any_step(fpu3):
+    calls = []
+    short = dataclasses.replace(fpu3, initial=State([1.0], [1.0]),
+                                force=lambda q: calls.append(q) or fpu3.force(q))
+    for method in (METHODS["ERKN2"], trig_method_from(METHODS["ERKN2"])):
+        with pytest.raises(ValueError, match="state does not match system partition"):
+            drift_coefficients(method, short, 0.1, 1.0)
+        with pytest.raises(ValueError, match="state does not match system partition"):
+            drift_series(method, short, 0.1, 1.0)
+    assert calls == []
 
 
 def test_drift_series_reports_blow_up():
