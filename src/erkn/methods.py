@@ -104,9 +104,9 @@ def rotation(
 
 class Coefficients(NamedTuple):
     """Diagonals of one step map (see `step_map`): length-dim vectors, or
-    (dim, B) blocks with a column per trajectory. wp_new is None for a
-    one-stage method and set for a kick-first scheme, whose columns kick_first
-    marks (a one-stage column of a mixed batch gets wp_new = 0)."""
+    (dim, B) blocks with a column per trajectory. wp_new and kick_first are
+    None for a one-stage method and set for a kick-first scheme (`columns`
+    gives a one-stage column of a mixed batch wp_new = 0, kick_first False)."""
 
     cos: np.ndarray
     hsinc: np.ndarray
@@ -116,7 +116,7 @@ class Coefficients(NamedTuple):
     wq: np.ndarray
     wp: np.ndarray
     wp_new: Optional[np.ndarray] = None
-    kick_first: Union[bool, np.ndarray] = True
+    kick_first: Union[None, bool, np.ndarray] = None
 
     @classmethod
     def columns(cls, coefs: Sequence["Coefficients"]) -> "Coefficients":

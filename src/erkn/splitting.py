@@ -143,7 +143,7 @@ class TrigMethod:
         return Coefficients(*rotation(part, h), block_expand(self.phi, part, nu),
                             np.zeros(part.dim), (0.5 * h * h) * block_expand(self.psi, part, nu),
                             (0.5 * h) * block_expand(self.psi0, part, nu),
-                            (0.5 * h) * block_expand(self.psi1, part, nu))
+                            (0.5 * h) * block_expand(self.psi1, part, nu), True)
 
 
 def trig_method_from(m: ErknMethod, grid: Optional[Sequence[float]] = None) -> TrigMethod:
