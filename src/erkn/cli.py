@@ -89,12 +89,20 @@ def build_problem(cfg: ExperimentConfig):
     raise KeyError(f"unknown problem {cfg.problem!r}; valid: fpu, linear")
 
 
+# Rows formatted by one `%` operation; the text of one block is held at a time.
+CSV_BLOCK_ROWS = 1 << 14
+
+
 def write_drift_csv(path: Union[str, Path], rows: np.ndarray) -> None:
-    """(t, H, I, dH, dI) rows, such as those of `drift_engine`, as CSV: one
-    `%` format of every value (`%.17g` is `_fmt`) and one write."""
+    """(t, H, I, dH, dI) rows, such as those of `drift_engine`, as CSV: one `%`
+    format (`%.17g` is `_fmt`) and one write per block of CSV_BLOCK_ROWS rows."""
+    rows = np.asarray(rows, dtype=float)
     with open(path, "w", newline="") as fh:
-        fh.write(("t,H,I,dH,dI\n" + "%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows))
-                 % tuple(np.asarray(rows, dtype=float).ravel().tolist()))
+        fh.write("t,H,I,dH,dI\n")
+        for lo in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows[lo : lo + CSV_BLOCK_ROWS]
+            fh.write("%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(block)
+                     % tuple(block.ravel().tolist()))
 
 
 def default_output_name(method: str, omega: float, h: float) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -104,9 +104,9 @@ def rotation(
 
 class Coefficients(NamedTuple):
     """Diagonals of one step map (see `step_map`): length-dim vectors, or
-    (dim, B) blocks with a column per trajectory. wp_new and kick_first are
-    None for a one-stage method and set for a kick-first scheme (`columns`
-    gives a one-stage column of a mixed batch wp_new = 0, kick_first False)."""
+    (dim, B) blocks with a column per trajectory. kick is None for a
+    one-stage method and the half kick's weight for a kick-first scheme
+    (`columns` gives a one-stage column of a mixed batch kick = 0)."""
 
     cos: np.ndarray
     hsinc: np.ndarray
@@ -115,16 +115,15 @@ class Coefficients(NamedTuple):
     stage_p: np.ndarray
     wq: np.ndarray
     wp: np.ndarray
-    wp_new: Optional[np.ndarray] = None
-    kick_first: Union[None, bool, np.ndarray] = None
+    kick: Optional[np.ndarray] = None
 
     @classmethod
     def columns(cls, coefs: Sequence["Coefficients"]) -> "Coefficients":
         """The (dim, B) coefficients of B step maps, a column each, for one
         `step_map` over a (2, dim, B) block of states."""
-        if any(c.wp_new is not None for c in coefs):
-            coefs = [c if c.wp_new is not None
-                     else c._replace(wp_new=np.zeros_like(c.cos), kick_first=False) for c in coefs]
+        if any(c.kick is not None for c in coefs):
+            coefs = [c if c.kick is not None else c._replace(kick=np.zeros_like(c.cos))
+                     for c in coefs]
         return cls(*(x[0] if x[0] is None else np.stack(x, axis=-1) for x in zip(*coefs)))
 
 
@@ -140,53 +139,44 @@ def step_map(force: Callable[[np.ndarray], np.ndarray], c: Coefficients) -> Call
     coefficient columns to match. Both rows of z go through each operation
     at once, and every sum is formed in the order written above.
 
-    With wp_new set, z = (q, p, g) (see `lift`) carries the force g that a
-    kick-first column took at phi q+ last step, where its next step opens:
+    With kick set, z = (q, p, k) (see `lift`) carries the half kick k that
+    closed the last step, and a step is that kick followed by the step above:
 
-        X = E ((S_q q + S_p p) + C g),  F = g(X),  g+ = F
-        q+ = ((cos(h*Omega) q + h sinc(h*Omega) p) + A_q F) + B_q g
-        p+ = (((cos(h*Omega) p - Omega sin(h*Omega) q) + A_p F) + B_p g) + wp_new F
+        p' = p + k,  then (q+, p+) from (q, p') with F = g(Q),  k+ = kick F
 
-    E = phi (stage_q), S = (cos, h sinc), C = wq, A = 0, B = (wq, wp) in a
-    kick-first column; E = 1, S = (stage_q, stage_p), C = 0, A = (wq, wp),
-    B = 0 in a one-stage one. A non-finite F spoils its column (0 inf = nan).
+    A kick-first scheme's stage is the new position (wq = 0), so k+ is the
+    opening half kick of the next step; a one-stage column has kick = 0.
+    A non-finite F spoils its column (0 inf = nan).
     """
     same = np.array((c.cos, c.cos))  # multiplies (q, p)
     swapped = np.array((c.hsinc, -c.omega_sin))  # multiplies (p, q)
+    stage = np.array((c.stage_q, c.stage_p))
     weight = np.array((c.wq, c.wp))
 
-    if c.wp_new is None:
-        stage = np.array((c.stage_q, c.stage_p))
+    def step(z: np.ndarray) -> np.ndarray:
+        x = stage * z
+        return same * z + swapped * z[::-1] + weight * force(x[0] + x[1])
 
-        def step(z: np.ndarray) -> np.ndarray:
-            x = stage * z
-            return same * z + swapped * z[::-1] + weight * force(x[0] + x[1])
-
+    if c.kick is None:
         return step
 
-    kick, wp_new, scale = c.kick_first, c.wp_new, np.where(c.kick_first, c.stage_q, 1.0)
-    stage = np.where(kick, (c.cos, c.hsinc, c.wq), (c.stage_q, c.stage_p, np.zeros_like(c.cos)))
-    on_force, on_carried = np.where(kick, 0.0, weight), np.where(kick, weight, 0.0)
+    def step_kicked(z: np.ndarray) -> np.ndarray:
+        y = np.array((z[0], z[1] + z[2]))  # (q, p + k)
+        x = stage * y
+        f = force(x[0] + x[1])
+        return np.concatenate((same * y + swapped * y[::-1] + weight * f, (c.kick * f)[None]))
 
-    def step_carried(z: np.ndarray) -> np.ndarray:
-        x = stage * z
-        f = force(scale * ((x[0] + x[1]) + x[2]))
-        zn = np.empty_like(z)
-        zn[:2] = same * z[:2] + swapped * z[1::-1] + on_force * f + on_carried * z[2]
-        zn[1] += wp_new * f
-        zn[2] = f
-        return zn
-
-    return step_carried
+    return step_kicked
 
 
 def lift(force: Callable[[np.ndarray], np.ndarray], c: Coefficients, z: np.ndarray) -> np.ndarray:
     """The state that `step_map(force, c)` advances, from z = (q, p): z itself
-    if wp_new is None, else (q, p, g) with g = force(phi q) in kick-first
-    columns and 0 in one-stage ones. One force call per trajectory start."""
-    if c.wp_new is None:
+    if kick is None, else (q, p, kick g(q)). A column with kick = 0 carries an
+    exact 0 even where g(q) is not finite, so a one-stage column of a mixed
+    batch steps as it does alone. One force call per trajectory start."""
+    if c.kick is None:
         return z
-    return np.concatenate((z, np.where(c.kick_first, force(c.stage_q * z[0]), 0.0)[None]))
+    return np.concatenate((z, np.where(c.kick == 0.0, 0.0, c.kick * force(z[0]))[None]))
 
 
 def stepper(m, sys: System, h: float) -> Callable[[State], State]:
@@ -194,10 +184,10 @@ def stepper(m, sys: System, h: float) -> Callable[[State], State]:
     `ErknMethod` or a kick-first `TrigMethod` alike. All h-dependent
     coefficients (the method's `coefficients`) are evaluated once here; the
     returned closure is what trajectory loops should call (lifting each state
-    of a kick-first scheme, so it makes two force calls)."""
+    of a kick-first scheme for its opening half kick: two force calls)."""
     c = m.coefficients(sys.partition, h)
     kernel = step_map(sys.force, c)
-    if c.wp_new is None:
+    if c.kick is None:
         return lambda s: State.of(kernel(s.z))  # the kernel's output is fresh
     return lambda s: State.of(kernel(lift(sys.force, c, s.z))[:2])
 

@@ -3,9 +3,10 @@
 The vector field splits into the exact linear rotation and a momentum kick
 with a filtered force. Composing rotate(h/2) . kick(h) . rotate(h/2) with the
 filter Upsilon(nu) = b(nu)/cos(nu/2) reproduces a symmetric one-stage method
-exactly; kick(h/2) . rotate(h) . kick(h/2) is its conjugate scheme, available
-both composed and in closed form. Half kicks always evaluate the filter at
-the OUTER step's nu; only the momentum increment halves.
+exactly; kick(h/2) . rotate(h) . kick(h/2) is its conjugate scheme, which
+the filter alone defines: a carried half kick, then the one-stage step with
+c1 = 1, bbar = 0 and b = Upsilon/2 (`TrigMethod`). Half kicks always
+evaluate the filter at the OUTER step's nu; only the momentum increment halves.
 """
 
 from __future__ import annotations
@@ -120,45 +121,27 @@ def strang_lnl_step(
 
 @dataclass(frozen=True)
 class TrigMethod:
-    """Filter functions (phi, psi, psi0, psi1) of the kick-first scheme.
-
-    Built from a symmetric one-stage method they are phi = 1,
-    psi = sinc * Upsilon, psi0 = cos * Upsilon, psi1 = Upsilon.
-    """
+    """The kick-first scheme kick(h/2) . rotate(h) . kick(h/2) with the kick
+    filter Upsilon, evaluated at the outer step's nu for both half kicks."""
 
     name: str
-    phi: Callable[[float], float]
-    psi: Callable[[float], float]
-    psi0: Callable[[float], float]
-    psi1: Callable[[float], float]
+    upsilon: Callable[[float], float]
 
     def coefficients(self, part: Partition, h: float) -> Coefficients:
-        """The step-map diagonals of the kick-first scheme in closed form:
-
-            q+ = cos(h*Omega) q + h sinc(h*Omega) p + h^2/2 psi g(phi q)
-            p+ = -Omega sin(h*Omega) q + cos(h*Omega) p
-                 + h/2 (psi0 g(phi q) + psi1 g(phi q+))
-        """
-        nu = h * part.omega
-        return Coefficients(*rotation(part, h), block_expand(self.phi, part, nu),
-                            np.zeros(part.dim), (0.5 * h * h) * block_expand(self.psi, part, nu),
-                            (0.5 * h) * block_expand(self.psi0, part, nu),
-                            (0.5 * h) * block_expand(self.psi1, part, nu), True)
+        """The step-map diagonals: the one-stage step whose stage is the new
+        position (c1 = 1, bbar = 0) and whose weight b = Upsilon/2 is the
+        closing half kick, carried as `kick` to open the next step."""
+        half = ErknMethod(self.name, 1.0, lambda nu: 0.0, lambda nu: 0.5 * self.upsilon(nu))
+        c = half.coefficients(part, h)
+        return c._replace(kick=c.wp)
 
 
 def trig_method_from(m: ErknMethod, grid: Optional[Sequence[float]] = None) -> TrigMethod:
     """Conjugate kick-first scheme of a symmetric one-stage method."""
-    ups = upsilon_from(m, grid=grid)
-    return TrigMethod(
-        name=f"trig:{m.name}",
-        phi=lambda nu: 1.0,
-        psi=lambda nu: sinc(nu) * ups(nu),
-        psi0=lambda nu: math.cos(nu) * ups(nu),
-        psi1=ups,
-    )
+    return TrigMethod(f"trig:{m.name}", upsilon_from(m, grid=grid))
 
 
-# The closed-form kick-first step is the one step kernel with the scheme's
+# The kick-first step is the one step kernel with the scheme's
 # coefficients (`TrigMethod.coefficients`): `stepper` and `erkn_step` serve it.
 trig_stepper = stepper
 trig_step = erkn_step
@@ -168,9 +151,9 @@ def trig_step_composed(tm: TrigMethod, sys: System, h: float, s: State) -> State
     """The same map assembled as kick(h/2) . rotate(h) . kick(h/2)."""
     part = sys.partition
     nu = h * part.omega
-    a = flow_kick(sys, tm.psi1, 0.5 * h, s, nu=nu)
+    a = flow_kick(sys, tm.upsilon, 0.5 * h, s, nu=nu)
     b = flow_linear(part, h, a)
-    return flow_kick(sys, tm.psi1, 0.5 * h, b, nu=nu)
+    return flow_kick(sys, tm.upsilon, 0.5 * h, b, nu=nu)
 
 
 @dataclass(frozen=True)

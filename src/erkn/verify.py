@@ -63,7 +63,7 @@ def symplecticity_defect(
     part = sys.partition
     part.check_state(s)
     d = part.dim
-    coefs = Coefficients.columns([m.coefficients(part, h)] * (4 * d))
+    coefs = Coefficients.columns([m.coefficients(part, h)])  # one column, broadcast
     # one step of 4*dim perturbed states: (q, p) + fd_eps e_j in column j, then - fd_eps e_j
     eye = np.eye(2 * d)
     block = (s.z.reshape(2 * d, 1) + fd_eps * np.hstack((eye, -eye))).reshape(2, d, 4 * d)
@@ -198,8 +198,8 @@ def drift_coefficients(
     """The step-map diagonals of a drift series, after checking its arguments,
     so a caller can reject a run before it starts. Raises ValueError (and, for
     a kick-first scheme with h*omega on a filter pole, ResonantStepsize)."""
-    if not (0.0 < h <= t_end and math.isfinite(t_end)):
-        raise ValueError("need finite h and t_end with 0 < h <= t_end")
+    if not (0.0 < h <= t_end and math.isfinite(t_end / h)):  # round(t_end/h) steps
+        raise ValueError("need 0 < h <= t_end with t_end and t_end/h finite")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if sys.initial is None:
@@ -225,7 +225,8 @@ def drift_engine(
     state that one `step_map` over the cells' coefficient columns advances.
     The cells share their problem (force, potential and block sizes; omega
     may differ), not their kind: with a kick-first cell the state carries a
-    third row, the force (`lift`), and a step still makes one force call.
+    third row, the half kick that closed the last step (`lift`), and a step
+    still makes one force call.
 
     Runs n = round(t_end/h) steps and samples step 0, every stride-th step
     and the final step. A block of FINITE_TEST_STEPS steps that ends
@@ -282,8 +283,11 @@ def drift_engine(
                                    f"{methods[j].name} on {systems[j].label}: "
                                    f"state became non-finite at step {i} (t = {i * h:g})")
                 z[..., bad] = 0.0
-            if all(message for _, message in ends):
-                break
+                if all(message for _, message in ends):
+                    break  # every cell has blown up: no step is left to take
+            else:
+                continue
+            break
         flush(k)
         t, rows = taken * h, []
         for j, (kept, message) in enumerate(ends):

@@ -12,6 +12,7 @@ import pytest
 import erkn
 
 from erkn.cli import (
+    CSV_BLOCK_ROWS,
     EXIT_BLOWUP,
     EXIT_IO,
     EXIT_OK,
@@ -76,11 +77,12 @@ def test_csv_format(tmp_path):
               (5e-324, -2.2250738585072014e-308, 1e-310, 1.0 / 3.0, -1e300)]),
     np.zeros((0, 5)),
     np.random.default_rng(3).standard_normal((2001, 5)) * 10.0 ** np.arange(-2, 3),
+    np.random.default_rng(4).standard_normal((2 * CSV_BLOCK_ROWS + 3, 5)),
 ])
 def test_csv_bytes_equal_a_per_value_format(tmp_path, rows):
-    """One `%` format of the whole file writes what format(x, ".17g") gives
-    value by value, for nan, +-inf, -0.0, subnormals, an empty series and a
-    run's 2001 rows."""
+    """One `%` format per block of rows writes what format(x, ".17g") gives
+    value by value, for nan, +-inf, -0.0, subnormals, an empty series, a
+    run's 2001 rows and rows that span three blocks."""
     path = tmp_path / "f.csv"
     write_drift_csv(path, rows)
     lines = ["t,H,I,dH,dI"] + [",".join(format(x, ".17g") for x in row) for row in rows]
@@ -305,11 +307,13 @@ INVALID_NUMBERS = [
     ("run", ["--method", "ERKN2", "--m", "0"]),
     ("run", ["--method", "ERKN2", "--h", "nan"]),
     ("run", ["--method", "ERKN2", "--t-end", "inf"]),
+    ("run", ["--method", "ERKN2", "--h", "1e-300", "--t-end", "1e10"]),  # t_end/h overflows
     ("run", ["--method", "ERKN2", "--problem", "linear", "--m", "-1"]),
     ("run", ["--method", "trig:ERKN3", "--h", "0.1", "--omega", "31.41592653589793"]),
     ("sweep", ["--methods", "trig:ERKN3", "--hs", "0.1", "--omegas", "31.41592653589793"]),
     ("sweep", ["--methods", "ERKN2", "--hs", "nan", "--omegas", "50"]),
     ("sweep", ["--methods", "ERKN2", "--hs", "0.1", "--omegas", "-1"]),
+    ("sweep", ["--methods", "ERKN2", "--hs", "1e-300", "--omegas", "50", "--t-end", "1e10"]),
     # a valid first cell before the invalid one: nothing may be written
     ("sweep", ["--methods", "ERKN2", "--hs", "0.1,nan", "--omegas", "50"]),
     ("sweep", ["--methods", "ERKN2", "--hs", "0.1", "--omegas", "50,-1"]),

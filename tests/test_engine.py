@@ -187,6 +187,18 @@ def test_a_zeroed_column_that_blows_up_again_changes_nothing(monkeypatch):
     assert n_rows.tobytes() == alone.tobytes()
 
 
+def test_the_replay_stops_once_every_cell_has_blown_up():
+    """A lone cell that blows up at step 35 of 10 000: the engine steps the
+    first finiteness block, replays it up to step 35 and stops there, one
+    force call a step."""
+    calls, h, t_end, method = [], 0.1, 1000.0, METHODS["ERKN2"]
+    sys_ = counted_force(growth_system(0.5, 1.0), calls)
+    (rows, message), = drift_engine([(method, sys_, drift_coefficients(method, sys_, h, t_end))],
+                                    h, t_end)
+    assert message.endswith("state became non-finite at step 35 (t = 3.5)")
+    assert len(rows) == 35 and len(calls) == verify.FINITE_TEST_STEPS + 35
+
+
 def test_the_blowup_sweep_builds_one_step_map_per_engine_call(tmp_path, monkeypatch):
     """32 of 36 cells blow up, at different steps; the cells of each h, one-stage
     and kick-first alike, are one engine call and one step map."""
@@ -219,8 +231,9 @@ def test_a_batch_mixes_one_stage_and_kick_first_cells():
         assert (rows.tobytes(), message) == (solo_rows.tobytes(), solo_message)
         blown += message is not None
     assert 0 < blown < len(cells)
-    kinds = Coefficients.columns([c for _, _, c in cells]).kick_first
-    assert kinds.tolist() == [name.startswith("trig:") for name in ALL_METHODS for _ in "ab"]
+    block = Coefficients.columns([c for _, _, c in cells])
+    trig = np.array([name.startswith("trig:") for name in ALL_METHODS for _ in "ab"])
+    assert block.kick[:, trig].all() and np.array_equal(block.kick, np.where(trig, block.wp, 0.0))
 
 
 def counted_force(sys_: System, calls: list) -> System:
@@ -252,6 +265,21 @@ def threshold_system(q0: float) -> System:
 
     return System(Partition(1, 1, 3.0), potential=lambda q: np.zeros(q.shape[1:]),
                   force=force, label=f"threshold(q0={q0:g})", initial=State([q0, 0.0], [1.0, 0.0]))
+
+
+def test_a_one_stage_column_steps_past_a_non_finite_start_force():
+    """The force is inf where q_1 > 0. From q = (0.5, 0), p = (-10, 0), ERKN2's
+    stage points keep q_1 <= 0, so it runs finite alone, but a kick-first cell
+    in its batch lifts its start with g(q) = inf. The one-stage column carries
+    an exact-zero half kick and equals its solo run byte for byte."""
+    h, t_end = 0.1, 10.0
+    sys_ = dataclasses.replace(threshold_system(0.5), initial=State([0.5, 0.0], [-10.0, 0.0]))
+    cells = [(resolve(name), sys_, drift_coefficients(resolve(name), sys_, h, t_end))
+             for name in ("ERKN2", "trig:ERKN2")]
+    (rows, message), (_, trig_message) = drift_engine(cells, h, t_end)
+    assert message is None and trig_message.endswith("non-finite at step 1 (t = 0.1)")
+    (solo_rows, solo_message), = drift_engine(cells[:1], h, t_end)
+    assert (rows.tobytes(), solo_message) == (solo_rows.tobytes(), None)
 
 
 def test_blow_ups_at_the_edges_of_a_finiteness_block():

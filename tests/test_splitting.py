@@ -1,5 +1,6 @@
 """Splitting flows, the kick filter, and the conjugate trigonometric scheme."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -169,24 +170,38 @@ def test_strang_without_force_is_pure_rotation():
         assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)) + 5e-324)
 
 
+def assert_kick_first_diagonals(tm, nu: float, u: float) -> None:
+    """The step-map diagonals of a kick-first scheme with filter value u at
+    nu (and Upsilon(0) = 1 on the slow block) at h = 0.1: its stage is the new
+    position, it adds no force to q, its closing and carried half kicks are
+    h/2 Upsilon, and the opening kick reaches q+ as h^2/2 sinc Upsilon and
+    p+ as h/2 cos Upsilon."""
+    h = 0.1
+    c = tm.coefficients(Partition(d1=1, d2=1, omega=nu / h), h)
+    assert np.array_equal(c.stage_q, c.cos) and np.array_equal(c.stage_p, c.hsinc)
+    assert np.array_equal(c.wq, np.zeros(2)) and np.array_equal(c.kick, c.wp)
+    assert c.wp == pytest.approx([0.5 * h, 0.5 * h * u], rel=1e-14)
+    assert c.hsinc * c.kick == pytest.approx([0.5 * h * h, 0.5 * h * h * sinc(nu) * u],
+                                             rel=1e-14)
+    assert c.cos * c.kick == pytest.approx([0.5 * h, 0.5 * h * math.cos(nu) * u], rel=1e-14)
+
+
 def test_trig_method_construction():
     tm = trig_method_from(METHODS["ERKN2"])
     assert tm.name == "trig:ERKN2"
+    assert [f.name for f in dataclasses.fields(tm)] == ["name", "upsilon"]
     # impulse scheme: no inner filtering at all
     for nu in (0.0, 1.0, 5.0):
-        assert tm.phi(nu) == 1.0
-        assert tm.psi1(nu) == pytest.approx(1.0, abs=1e-15)
-        assert tm.psi(nu) == pytest.approx(sinc(nu), rel=1e-14)
-        assert tm.psi0(nu) == pytest.approx(math.cos(nu), rel=1e-14)
+        assert tm.upsilon(nu) == pytest.approx(1.0, abs=1e-15)
+        assert_kick_first_diagonals(tm, nu, 1.0)
 
 
 def test_trig_filtered_variant_coefficients():
     tm = trig_method_from(METHODS["ERKN3"])
     nu = 5.0
     u = math.cos(nu / 2) ** 2
-    assert tm.psi(nu) == pytest.approx(sinc(nu) * u, rel=1e-14)
-    assert tm.psi0(nu) == pytest.approx(math.cos(nu) * u, rel=1e-14)
-    assert tm.psi1(nu) == pytest.approx(u, rel=1e-14)
+    assert tm.upsilon(nu) == pytest.approx(u, rel=1e-14)
+    assert_kick_first_diagonals(tm, nu, u)
 
 
 def test_trig_closed_form_matches_composition(fpu3):
