@@ -14,6 +14,7 @@ CSV output is deterministic: 17 significant digits, '.' decimal separator,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys as _sys
@@ -77,8 +78,8 @@ def resolve_method(name: str) -> Method:
         return METHODS[name]
     if name.startswith("trig:") and name[5:] in METHODS:
         return trig_method_from(METHODS[name[5:]])
-    valid = ", ".join(list(METHODS) + [f"trig:{k}" for k in METHODS])
-    raise KeyError(f"unknown method {name!r}; valid: {valid}")
+    trig = [f"trig:{k}" for k, m in METHODS.items() if check_symmetry(m).passed]
+    raise KeyError(f"unknown method; valid: {', '.join([*METHODS, *trig])}")
 
 
 def build_problem(cfg: ExperimentConfig):
@@ -109,26 +110,23 @@ def default_output_name(method: str, omega: float, h: float) -> str:
     return f"{method}_w{_gfmt(omega)}_h{_gfmt(h)}.csv"
 
 
-def _resolve_or_report(name: str, err: TextIO) -> Optional[Method]:
-    """resolve_method, printing the error and returning None for an unusable name."""
-    try:
-        return resolve_method(name)
-    except (KeyError, NonSymmetricMethod, InconsistentFilter) as exc:
-        print(f"error: {exc.args[0]}", file=err)  # the message names the method
-        return None
-
-
-def _prepare(cfg: ExperimentConfig, method: Method, err: TextIO) -> Optional[DriftCell]:
-    """One trajectory's problem and coefficients, built once for
-    `drift_engine`; None, with the error printed, for invalid input: a
-    non-finite or out-of-range number, a problem size the system rejects,
-    h*omega on a pole of the kick filter."""
-    try:
-        problem = build_problem(cfg)
-        return method, problem, drift_coefficients(method, problem, cfg.h, cfg.t_end, cfg.stride)
-    except (KeyError, ValueError) as exc:  # ResonantStepsize included
-        print(f"error: {cfg.method}: {exc.args[0]}", file=err)
-        return None
+def _prepare(
+    cfgs: Sequence[ExperimentConfig], err: TextIO
+) -> Optional[list[tuple[ExperimentConfig, DriftCell]]]:
+    """Each cell's problem and coefficients for `drift_engine`, resolving each
+    distinct method name once; None, with one error line printed, if any cell
+    is invalid: `resolve_method`, `build_problem` or `drift_coefficients` fails."""
+    resolve = functools.cache(resolve_method)  # one resolution per distinct name
+    cells = []
+    for cfg in cfgs:
+        try:
+            method, problem = resolve(cfg.method), build_problem(cfg)
+            coefs = drift_coefficients(method, problem, cfg.h, cfg.t_end, cfg.stride)
+        except (KeyError, ValueError) as exc:  # the splitting module's errors included
+            print(f"error: {cfg.method}: {exc.args[0]}", file=err)
+            return None
+        cells.append((cfg, (method, problem, coefs)))
+    return cells
 
 
 def _run_cells(
@@ -167,11 +165,10 @@ def cmd_run(
 ) -> int:
     out = out if out is not None else _sys.stdout
     err = err if err is not None else _sys.stderr
-    method = _resolve_or_report(cfg.method, err)
-    cell = None if method is None else _prepare(cfg, method, err)
-    if cell is None:
+    cells = _prepare([cfg], err)
+    if cells is None:
         return EXIT_USAGE
-    code, stats = next(_run_cells([(cfg, cell)], out, err))
+    code, stats = next(_run_cells(cells, out, err))
     if stats is not None:
         print(
             f"max|dH| = {stats.max_dH:.6g}  max|dI| = {stats.max_dI:.6g}  "
@@ -277,22 +274,14 @@ def cmd_sweep(
     if not methods or not omegas or not hs:
         print("error: sweep needs at least one method, omega, and h", file=err)
         return EXIT_USAGE
-    resolved = [(name, _resolve_or_report(name, err)) for name in methods]
-    if any(method is None for _, method in resolved):
-        return EXIT_USAGE
     outdir = Path(outdir)
-    cells = [
-        (method, ExperimentConfig(method=name, problem=problem, m=m, omega=omega, h=h,
-                                  t_end=t_end, stride=stride,
-                                  output=str(outdir / default_output_name(name, omega, h))))
-        for name, method in resolved for omega in omegas for h in hs
-    ]
-    prepared = []
-    for method, cfg in cells:
-        cell = _prepare(cfg, method, err)
-        if cell is None:
-            return EXIT_USAGE
-        prepared.append((cfg, cell))
+    cells = _prepare([
+        ExperimentConfig(method=name, problem=problem, m=m, omega=omega, h=h, t_end=t_end,
+                         stride=stride, output=str(outdir / default_output_name(name, omega, h)))
+        for name in methods for omega in omegas for h in hs
+    ], err)
+    if cells is None:
+        return EXIT_USAGE
 
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -302,7 +291,7 @@ def cmd_sweep(
 
     any_blowup = False
     rows = []
-    for (cfg, _), (code, stats) in zip(prepared, _run_cells(prepared, out, err)):
+    for (cfg, _), (code, stats) in zip(cells, _run_cells(cells, out, err)):
         if code == EXIT_IO:
             return code
         any_blowup |= code == EXIT_BLOWUP

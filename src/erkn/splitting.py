@@ -175,15 +175,15 @@ def conjugacy_check(m: ErknMethod, sys: System, h: float, s: State, n: int) -> C
     interior form:  rotate(h/2) kick(h/2) [hat]^{n-1} kick(h/2) rotate(h/2)
     shifted form:   rotate(-h/2) kick(-h/2) [hat]^n kick(h/2) rotate(h/2)
 
-    where hat is the kick-first step; both equal n method steps exactly in
-    real arithmetic. Returns the max componentwise deviation seen.
+    where hat is the kick-first step, `trig_step_composed`; both equal n method
+    steps exactly in real arithmetic. Returns the max componentwise deviation seen.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     part = sys.partition
     part.check_state(s)
     nu = h * part.omega
-    ups = upsilon_from(m)
+    tm = TrigMethod(m.name, upsilon_from(m))
     step = stepper(m, sys, h)
 
     ref = s
@@ -191,18 +191,15 @@ def conjugacy_check(m: ErknMethod, sys: System, h: float, s: State, n: int) -> C
         ref = step(ref)
 
     def kick(x: State, hh: float) -> State:
-        return flow_kick(sys, ups, hh, x, nu=nu)
-
-    def hat(x: State) -> State:
-        return kick(flow_linear(part, h, kick(x, 0.5 * h)), 0.5 * h)
+        return flow_kick(sys, tm.upsilon, hh, x, nu=nu)
 
     entry = kick(flow_linear(part, 0.5 * h, s), 0.5 * h)
 
     inner = entry
     for _ in range(n - 1):
-        inner = hat(inner)
+        inner = trig_step_composed(tm, sys, h, inner)
     interior = flow_linear(part, 0.5 * h, kick(inner, 0.5 * h))
-    shifted = flow_linear(part, -0.5 * h, kick(hat(inner), -0.5 * h))
+    shifted = flow_linear(part, -0.5 * h, kick(trig_step_composed(tm, sys, h, inner), -0.5 * h))
 
     dev_interior = _state_dev(ref, interior)
     dev_shifted = _state_dev(ref, shifted)

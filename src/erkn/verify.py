@@ -202,12 +202,16 @@ def drift_coefficients(
         raise ValueError("need 0 < h <= t_end with t_end and t_end/h finite")
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    if -(-round(t_end / h) // stride) + 1 > MAX_SAMPLES:  # step 0, every stride-th, the last
+        raise ValueError(f"need at most {MAX_SAMPLES} samples (round(t_end/h)/stride + 1)")
     if sys.initial is None:
         raise ValueError(f"system {sys.label!r} has no designated initial state")
     sys.partition.check_state(sys.initial)
     return method.coefficients(sys.partition, h)
 
 
+# Samples one cell may take: its (t, H, I, dH, dI) rows are 40 B each, 4 GB in all.
+MAX_SAMPLES = 10**8
 # Bytes of sampled states held before their energies are evaluated together.
 SAMPLE_BUFFER_BYTES = 1 << 16
 # Steps between finiteness tests. A non-finite entry stays so under every step
@@ -229,47 +233,48 @@ def drift_engine(
     still makes one force call.
 
     Runs n = round(t_end/h) steps and samples step 0, every stride-th step
-    and the final step. A block of FINITE_TEST_STEPS steps that ends
-    non-finite is stepped again one step at a time to find each blow-up's
-    step. The batch never changes shape: a cell whose state turns non-finite
-    keeps its samples before that step and a message that says where, and its
-    column is set to zero, a state that the built-in problems keep at zero.
+    and the final step, holding only the energies of the samples taken. A
+    block of FINITE_TEST_STEPS steps that ends non-finite is stepped again one
+    step at a time to find each blow-up's step. The batch never changes shape:
+    a cell whose state turns non-finite keeps its samples before that step and
+    a message that says where, and its column is set to zero, a state that the
+    built-in problems keep at zero.
     Returns per cell a (k, 5) array of (t, H, I, dH, dI) per sample and None,
     or for a cell that blew up its finite prefix and the message.
     """
     methods, systems, coefs = zip(*cells)
     first, n = systems[0], int(round(t_end / h))
-    taken = np.minimum(np.arange(n // stride + 1 + (n % stride > 0)) * stride, n)  # steps
-    energy = np.empty((2, len(taken), len(cells)))  # H and I of every sample
-    ends: list = [(len(taken), None)] * len(cells)  # samples kept, blow-up message
+    ends: list = [(None, None)] * len(cells)  # samples kept (None: all), blow-up message
+    energy: list = []  # (2, k, B) blocks of H and I, one per flush
     coefs = Coefficients.columns(coefs)
     step = step_map(first.force, coefs)
     z = np.stack([s.initial.z for s in systems], axis=-1)  # (2, dim, B)
     omega = np.array([s.partition.omega for s in systems])
     slots = max(2, SAMPLE_BUFFER_BYTES // z.nbytes)
     buf = np.zeros(z.shape[:2] + (slots, len(cells)))
-    lo = 0  # index of the first sample in the buffer
 
-    def flush(hi: int) -> None:
+    def flush(k: int) -> None:
         # at least two slots: numpy sums a lone sample of a lone cell in
         # another order, and a cell's energies must not depend on its batch
-        used = buf[:, :, : max(hi - lo, 2)]
-        energy[:, lo:hi] = np.stack(energies(first, *used, omega))[:, : hi - lo]
+        used = buf[:, :, : max(k, 2)]
+        energy.append(np.stack(energies(first, *used, omega))[:, :k])
 
     # blow-up is an expected, reported condition; silence the overflow chatter
     with np.errstate(over="ignore", invalid="ignore"):
         buf[:, :, 0] = z
         z = lift(first.force, coefs, z)
-        k, due = 1, min(stride, n)  # index and step of the next sample
+        k, due = 1, min(stride, n)  # samples in the buffer, step of the next sample
         for done in range(0, n, FINITE_TEST_STEPS):
+            if all(message for _, message in ends):
+                break  # every cell has blown up: no step is left to take
             block, start = range(done + 1, min(done + FINITE_TEST_STEPS, n) + 1), z
             for i in block:
                 z = step(z)
                 if i == due:
-                    if k - lo == slots:
+                    if k == slots:
                         flush(k)
-                        lo = k
-                    buf[:, :, k - lo] = z[:2]
+                        k = 0
+                    buf[:, :, k] = z[:2]
                     k, due = k + 1, min(due + stride, n)
             if np.logical_and.reduce(np.isfinite(z), axis=None):  # one test per block
                 continue
@@ -279,17 +284,15 @@ def drift_engine(
                 bad = ~np.isfinite(z).all(axis=(0, 1))
                 for j in np.flatnonzero(bad):
                     if ends[j][1] is None:  # only the first blow-up counts
-                        ends[j] = (np.searchsorted(taken, i),
+                        ends[j] = (-(-i // stride),  # the samples before step i
                                    f"{methods[j].name} on {systems[j].label}: "
                                    f"state became non-finite at step {i} (t = {i * h:g})")
                 z[..., bad] = 0.0
                 if all(message for _, message in ends):
-                    break  # every cell has blown up: no step is left to take
-            else:
-                continue
-            break
+                    break
         flush(k)
-        t, rows = taken * h, []
+        energy = np.concatenate(energy, axis=1)
+        t, rows = np.minimum(np.arange(energy.shape[1]) * stride, n) * h, []
         for j, (kept, message) in enumerate(ends):
             e = energy[:, :kept, j]  # H and I, less their first values for dH and dI
             rows.append((np.column_stack((t[:kept], *e, *(e - e[:, :1]))), message))

@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from erkn.cli import (
     resolve_method,
     write_drift_csv,
 )
-from erkn import METHODS, NU_GRID, TrigMethod
+from erkn import METHODS, NU_GRID, TrigMethod, cli
 
 
 def run_cfg(tmp_path, **kw):
@@ -45,6 +46,19 @@ def test_resolve_method_registry_and_conjugates():
     assert tm.name == "trig:ERKN2"
     with pytest.raises(KeyError):
         resolve_method("ERKN9")
+
+
+def test_every_method_the_error_lists_resolves():
+    """The names that an unknown method's error lists as valid all resolve:
+    `trig:` only for the methods that have a kick filter."""
+    with pytest.raises(KeyError) as info:
+        resolve_method("NOPE")
+    message = info.value.args[0]
+    assert "NOPE" not in message  # the CLI's error prefix names it
+    names = re.fullmatch(r"unknown method; valid: (.*)", message).group(1).split(", ")
+    assert names == [*METHODS, "trig:ERKN2", "trig:ERKN3", "trig:ERKN4"]
+    for name in names:
+        assert resolve_method(name).name == name
 
 
 def test_build_problem_kinds():
@@ -230,6 +244,58 @@ def test_cmd_sweep_usage_errors(tmp_path):
     )
 
 
+def test_a_sweep_reports_one_invalid_cell(tmp_path, capsys):
+    """Of several invalid cells a sweep names the first, in one error line
+    that starts with its method, and writes nothing."""
+    argv = ["sweep", "--methods", "FOO,trig:ERKN5,ERKN2", "--omegas", "50", "--hs", "0.1",
+            "--outdir", str(tmp_path / "grid")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: FOO: unknown method; valid: "), err
+    assert not (tmp_path / "grid").exists()
+
+
+def test_prepare_resolves_each_method_name_once(tmp_path, monkeypatch):
+    """The 36 cells of a 9-method x 2-omega x 2-h sweep resolve 9 names."""
+    calls = []
+    monkeypatch.setattr(cli, "resolve_method",
+                        lambda name: calls.append(name) or resolve_method(name))
+    names = [*METHODS, "trig:ERKN2", "trig:ERKN3", "trig:ERKN4"]
+    code = cmd_sweep(names, [50.0, 200.0], [0.1, 0.01], t_end=1.0, outdir=tmp_path,
+                     stride=100, out=io.StringIO())
+    assert code == EXIT_OK
+    assert calls == names
+    assert len((tmp_path / "summary.csv").read_text().splitlines()) == 37
+
+
+def test_cmd_sweep_io_errors(tmp_path):
+    """A sweep exits 3 when its directory lies under a file, when a cell's
+    CSV path is a directory (the later cells and the summary are then not
+    written) and when summary.csv is a directory."""
+    (tmp_path / "file").write_text("")
+    err = io.StringIO()
+    assert cmd_sweep(["ERKN2"], [50.0], [0.1], 1.0, tmp_path / "file" / "grid",
+                     out=io.StringIO(), err=err) == EXIT_IO
+    assert err.getvalue().startswith("error: cannot create ")
+
+    outdir = tmp_path / "cell"
+    (outdir / "ERKN2_w50_h0.05.csv").mkdir(parents=True)
+    err = io.StringIO()
+    assert cmd_sweep(["ERKN2"], [50.0], [0.1, 0.05, 0.01], 1.0, outdir,
+                     out=io.StringIO(), err=err) == EXIT_IO
+    assert err.getvalue().startswith(f"error: cannot write {outdir / 'ERKN2_w50_h0.05.csv'}: ")
+    assert sorted(p.name for p in outdir.iterdir()) == ["ERKN2_w50_h0.05.csv",
+                                                        "ERKN2_w50_h0.1.csv"]
+
+    outdir = tmp_path / "summary"
+    (outdir / "summary.csv").mkdir(parents=True)
+    err = io.StringIO()
+    assert cmd_sweep(["ERKN2"], [50.0], [0.1], 1.0, outdir,
+                     out=io.StringIO(), err=err) == EXIT_IO
+    assert err.getvalue().startswith("error: cannot write summary: ")
+    assert (outdir / "ERKN2_w50_h0.1.csv").is_file()
+
+
 def test_main_run_with_preset(tmp_path, capsys):
     out = tmp_path / "p.csv"
     code = main(
@@ -308,12 +374,17 @@ INVALID_NUMBERS = [
     ("run", ["--method", "ERKN2", "--h", "nan"]),
     ("run", ["--method", "ERKN2", "--t-end", "inf"]),
     ("run", ["--method", "ERKN2", "--h", "1e-300", "--t-end", "1e10"]),  # t_end/h overflows
+    # more than MAX_SAMPLES samples: 1e210, and 1e9 at stride 1
+    ("run", ["--method", "ERKN2", "--h", "1e-200", "--t-end", "1e10"]),
+    ("run", ["--method", "ERKN2", "--h", "1e-6", "--t-end", "1000"]),
     ("run", ["--method", "ERKN2", "--problem", "linear", "--m", "-1"]),
     ("run", ["--method", "trig:ERKN3", "--h", "0.1", "--omega", "31.41592653589793"]),
     ("sweep", ["--methods", "trig:ERKN3", "--hs", "0.1", "--omegas", "31.41592653589793"]),
     ("sweep", ["--methods", "ERKN2", "--hs", "nan", "--omegas", "50"]),
     ("sweep", ["--methods", "ERKN2", "--hs", "0.1", "--omegas", "-1"]),
     ("sweep", ["--methods", "ERKN2", "--hs", "1e-300", "--omegas", "50", "--t-end", "1e10"]),
+    ("sweep", ["--methods", "ERKN2", "--hs", "1e-200", "--omegas", "50", "--t-end", "1e10"]),
+    ("sweep", ["--methods", "ERKN2", "--hs", "1e-6", "--omegas", "50", "--t-end", "1000"]),
     # a valid first cell before the invalid one: nothing may be written
     ("sweep", ["--methods", "ERKN2", "--hs", "0.1,nan", "--omegas", "50"]),
     ("sweep", ["--methods", "ERKN2", "--hs", "0.1", "--omegas", "50,-1"]),
@@ -362,6 +433,14 @@ def test_main_check_smoke(capsys):
     assert ">= 2*sqrt(h) up to k = N" in text
     assert "h*omega = 5 >= c0 = 0.5: pass" in text
     assert "bounds [0.2, 5]: pass" in text
+
+
+def test_main_check_reports_a_vanishing_weight(capsys):
+    """At h*omega = 2*pi ERKN2's weight b vanishes, so sigma is undefined:
+    the report says where and the check still exits 0."""
+    assert main(["check", "ERKN2", "--h", "0.1", "--omega", "62.83185307179586"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "sigma: ERKN2: weight within 1e-14 of zero at nu = 6.28319"
 
 
 def test_console_main_exits_3_without_a_traceback_when_stdout_closes():

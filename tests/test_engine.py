@@ -10,6 +10,7 @@ steppers.
 import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,23 @@ def test_the_replay_stops_once_every_cell_has_blown_up():
                                     h, t_end)
     assert message.endswith("state became non-finite at step 35 (t = 3.5)")
     assert len(rows) == 35 and len(calls) == verify.FINITE_TEST_STEPS + 35
+
+
+def test_the_engine_holds_only_the_samples_it_took():
+    """A lone cell that blows up at step 35 of 10^6 allocates no per-sample
+    array for the steps it never took: the engine's traced peak stays far
+    below the 24 MB that the step numbers and energies of 10^6 samples take."""
+    h, t_end, method = 0.1, 1e5, METHODS["ERKN2"]
+    sys_ = growth_system(0.5, 1.0)
+    cell = (method, sys_, drift_coefficients(method, sys_, h, t_end))
+    tracemalloc.start()
+    try:
+        (rows, message), = drift_engine([cell], h, t_end)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message.endswith("state became non-finite at step 35 (t = 3.5)")
+    assert len(rows) == 35 and peak < 4 * 2**20, peak
 
 
 def test_the_blowup_sweep_builds_one_step_map_per_engine_call(tmp_path, monkeypatch):
