@@ -14,6 +14,7 @@ CSV output is deterministic: 17 significant digits, '.' decimal separator,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -78,7 +79,10 @@ def resolve_method(name: str) -> Method:
         return METHODS[name]
     if name.startswith("trig:") and name[5:] in METHODS:
         return trig_method_from(METHODS[name[5:]])
-    trig = [f"trig:{k}" for k, m in METHODS.items() if check_symmetry(m).passed]
+    trig = []  # the names the branch above resolves: methods with a kick filter
+    for m in METHODS.values():
+        with contextlib.suppress(NonSymmetricMethod, InconsistentFilter):
+            trig.append(trig_method_from(m).name)
     raise KeyError(f"unknown method; valid: {', '.join([*METHODS, *trig])}")
 
 
@@ -227,7 +231,7 @@ def cmd_check(
         ups = upsilon_from(m, grid=grid)
         print(f"kick filter: available (Upsilon(0) = {ups(0.0):g})", file=out)
     except (NonSymmetricMethod, InconsistentFilter) as exc:
-        print(f"kick filter: {type(exc).__name__}: {exc}", file=out)
+        print(f"kick filter: {type(exc).__name__}: {m.name}: {exc}", file=out)
 
     rep = assumption_report(m, h, omega, c=c, c0=c0, sigma_lo=sigma_lo, sigma_hi=sigma_hi)
     print(

@@ -211,16 +211,15 @@ class SymplecticityReport:
 
 
 def check_symmetry(
-    m: ErknMethod, grid: Optional[Sequence[float]] = None, tol: float = COEFF_TOL
+    m: ErknMethod, grid: Sequence[float] = NU_GRID, tol: float = COEFF_TOL
 ) -> SymmetryReport:
     """Exact-coefficient symmetry test.
 
     Passes iff c1 = 1/2 and (1 + cos nu) bbar(nu) = sinc(nu) b(nu) on the
     grid; nu = 0 is always included.
     """
-    pts = NU_GRID if grid is None else grid
     worst = abs(2.0 * m.bbar(0.0) - m.b(0.0))
-    for nu in pts:
+    for nu in grid:
         r = abs((1.0 + math.cos(nu)) * m.bbar(nu) - sinc(nu) * m.b(nu))
         if r > worst:
             worst = r
@@ -228,7 +227,7 @@ def check_symmetry(
 
 
 def check_symplecticity(
-    m: ErknMethod, grid: Optional[Sequence[float]] = None, tol: float = COEFF_TOL
+    m: ErknMethod, grid: Sequence[float] = NU_GRID, tol: float = COEFF_TOL
 ) -> SymplecticityReport:
     """Exact-coefficient symplecticity test.
 
@@ -236,11 +235,10 @@ def check_symplecticity(
     passes iff b(nu) = d1 cos((1-c1) nu) and
     bbar(nu) = d1 (1-c1) sinc((1-c1) nu) on the grid.
     """
-    pts = NU_GRID if grid is None else grid
     d1 = m.b(0.0)
     c2 = 1.0 - m.c1
     worst = 0.0
-    for nu in pts:
+    for nu in grid:
         rb = abs(m.b(nu) - d1 * math.cos(c2 * nu))
         rbb = abs(m.bbar(nu) - d1 * c2 * sinc(c2 * nu))
         r = rb if rb > rbb else rbb

@@ -62,9 +62,7 @@ def flow_kick(
     return State(s.q, s.p + h * (u * sys.force(s.q)))
 
 
-def upsilon_from(
-    m: ErknMethod, grid: Optional[Sequence[float]] = None
-) -> Callable[[float], float]:
+def upsilon_from(m: ErknMethod, grid: Sequence[float] = NU_GRID) -> Callable[[float], float]:
     """Extract the kick filter nu -> b(nu)/cos(nu/2) of a symmetric method.
 
     The alternative expression 2*bbar(nu)/sinc(nu/2) must agree within
@@ -72,10 +70,9 @@ def upsilon_from(
     the returned function refuses arguments on a pole of cos(nu/2).
     """
     if m.c1 != 0.5:
-        raise NonSymmetricMethod(f"{m.name}: the kick filter needs c1 = 1/2, got c1 = {m.c1:g}")
-    pts = NU_GRID if grid is None else grid
+        raise NonSymmetricMethod(f"the kick filter needs c1 = 1/2, got c1 = {m.c1:g}")
     worst = 0.0
-    for nu in pts:
+    for nu in grid:
         cc = math.cos(0.5 * nu)
         ss = sinc(0.5 * nu)
         if abs(cc) < FILTER_POLE_TOL or abs(ss) < FILTER_POLE_TOL:
@@ -85,7 +82,7 @@ def upsilon_from(
             worst = r
     if worst > COEFF_TOL:
         raise InconsistentFilter(
-            f"{m.name}: filter expressions b/cos(nu/2) and 2*bbar/sinc(nu/2) "
+            "filter expressions b/cos(nu/2) and 2*bbar/sinc(nu/2) "
             f"disagree by {worst:.3e} on the grid"
         )
 
@@ -136,7 +133,7 @@ class TrigMethod:
         return c._replace(kick=c.wp)
 
 
-def trig_method_from(m: ErknMethod, grid: Optional[Sequence[float]] = None) -> TrigMethod:
+def trig_method_from(m: ErknMethod, grid: Sequence[float] = NU_GRID) -> TrigMethod:
     """Conjugate kick-first scheme of a symmetric one-stage method."""
     return TrigMethod(f"trig:{m.name}", upsilon_from(m, grid=grid))
 
@@ -193,9 +190,7 @@ def conjugacy_check(m: ErknMethod, sys: System, h: float, s: State, n: int) -> C
     def kick(x: State, hh: float) -> State:
         return flow_kick(sys, tm.upsilon, hh, x, nu=nu)
 
-    entry = kick(flow_linear(part, 0.5 * h, s), 0.5 * h)
-
-    inner = entry
+    inner = kick(flow_linear(part, 0.5 * h, s), 0.5 * h)
     for _ in range(n - 1):
         inner = trig_step_composed(tm, sys, h, inner)
     interior = flow_linear(part, 0.5 * h, kick(inner, 0.5 * h))

@@ -202,8 +202,9 @@ def drift_coefficients(
         raise ValueError("need 0 < h <= t_end with t_end and t_end/h finite")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if -(-round(t_end / h) // stride) + 1 > MAX_SAMPLES:  # step 0, every stride-th, the last
-        raise ValueError(f"need at most {MAX_SAMPLES} samples (round(t_end/h)/stride + 1)")
+    n = round(t_end / h)
+    if n > MAX_STEPS or -(-n // stride) + 1 > MAX_SAMPLES:  # step 0, every stride-th, the last
+        raise ValueError(f"need at most {MAX_STEPS} steps and {MAX_SAMPLES} samples")
     if sys.initial is None:
         raise ValueError(f"system {sys.label!r} has no designated initial state")
     sys.partition.check_state(sys.initial)
@@ -212,6 +213,8 @@ def drift_coefficients(
 
 # Samples one cell may take: its (t, H, I, dH, dI) rows are 40 B each, 4 GB in all.
 MAX_SAMPLES = 10**8
+# Steps one cell may take: at about 17 us a step (one m = 3 cell on a Xeon core), two days.
+MAX_STEPS = 10**10
 # Bytes of sampled states held before their energies are evaluated together.
 SAMPLE_BUFFER_BYTES = 1 << 16
 # Steps between finiteness tests. A non-finite entry stays so under every step

@@ -255,6 +255,23 @@ def test_a_sweep_reports_one_invalid_cell(tmp_path, capsys):
     assert not (tmp_path / "grid").exists()
 
 
+def test_a_method_without_a_kick_filter_is_named_once(tmp_path, capsys):
+    """A `trig:` name whose method has no kick filter is refused in one line
+    that names it once; `check` names the base method in its report."""
+    for name, reason in [
+        ("trig:ERKN1", "filter expressions b/cos(nu/2) and 2*bbar/sinc(nu/2) disagree by "),
+        ("trig:ERKN5", "the kick filter needs c1 = 1/2, got c1 = 0.4"),
+    ]:
+        assert main(["run", "--method", name, "-o", str(tmp_path / "x.csv")]) == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {name}: {reason}"), err
+        assert err[0].count("ERKN") == 1, err
+    assert not (tmp_path / "x.csv").exists()
+    assert main(["check", "ERKN1"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "kick filter: InconsistentFilter: ERKN1: filter expressions " in text
+
+
 def test_prepare_resolves_each_method_name_once(tmp_path, monkeypatch):
     """The 36 cells of a 9-method x 2-omega x 2-h sweep resolve 9 names."""
     calls = []
@@ -377,6 +394,8 @@ INVALID_NUMBERS = [
     # more than MAX_SAMPLES samples: 1e210, and 1e9 at stride 1
     ("run", ["--method", "ERKN2", "--h", "1e-200", "--t-end", "1e10"]),
     ("run", ["--method", "ERKN2", "--h", "1e-6", "--t-end", "1000"]),
+    # more than MAX_STEPS steps, however few samples: 1e210 steps in 2 samples
+    ("run", ["--method", "ERKN2", "--h", "1e-200", "--t-end", "1e10", "--stride", "1" + "0" * 210]),
     ("run", ["--method", "ERKN2", "--problem", "linear", "--m", "-1"]),
     ("run", ["--method", "trig:ERKN3", "--h", "0.1", "--omega", "31.41592653589793"]),
     ("sweep", ["--methods", "trig:ERKN3", "--hs", "0.1", "--omegas", "31.41592653589793"]),
@@ -385,6 +404,8 @@ INVALID_NUMBERS = [
     ("sweep", ["--methods", "ERKN2", "--hs", "1e-300", "--omegas", "50", "--t-end", "1e10"]),
     ("sweep", ["--methods", "ERKN2", "--hs", "1e-200", "--omegas", "50", "--t-end", "1e10"]),
     ("sweep", ["--methods", "ERKN2", "--hs", "1e-6", "--omegas", "50", "--t-end", "1000"]),
+    ("sweep", ["--methods", "ERKN2", "--hs", "1e-200", "--omegas", "50", "--t-end", "1e10",
+               "--stride", "1" + "0" * 210]),
     # a valid first cell before the invalid one: nothing may be written
     ("sweep", ["--methods", "ERKN2", "--hs", "0.1,nan", "--omegas", "50"]),
     ("sweep", ["--methods", "ERKN2", "--hs", "0.1", "--omegas", "50,-1"]),
