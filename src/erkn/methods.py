@@ -127,17 +127,19 @@ class Coefficients(NamedTuple):
         return cls(*(x[0] if x[0] is None else np.stack(x, axis=-1) for x in zip(*coefs)))
 
 
-def step_map(force: Callable[[np.ndarray], np.ndarray], c: Coefficients) -> Callable:
-    """The one step kernel z -> z+ on z = (q, p) stacked on axis 0: the exact
-    rotation over h plus a weighted force g at the stage point
-    Q = stage_q q + stage_p p,
+def step_map(force: Callable[[np.ndarray], np.ndarray], c: Coefficients,
+             z: np.ndarray) -> Callable[[], None]:
+    """The step kernel bound to z = (q, p) stacked on axis 0; a call advances
+    z in place by the exact rotation over h plus a weighted force g at the
+    stage point Q = stage_q q + stage_p p,
 
         q+ = cos(h*Omega) q + h sinc(h*Omega) p + wq g(Q)
         p+ = -Omega sin(h*Omega) q + cos(h*Omega) p + wp g(Q)
 
     z is (2, dim) for one state, or (2, dim, B) for a block of B states with
-    coefficient columns to match. Both rows of z go through each operation
-    at once, and every sum is formed in the order written above.
+    coefficient columns to match; every sum is formed in the order written
+    above. Views and work arrays are made once, here; g(Q) is written into
+    them by the force's `bind` (see `fpu_system`), or else copied.
 
     With kick set, z = (q, p, k) (see `lift`) carries the half kick k that
     closed the last step, and a step is that kick followed by the step above:
@@ -149,28 +151,41 @@ def step_map(force: Callable[[np.ndarray], np.ndarray], c: Coefficients) -> Call
     A non-finite F spoils its column (0 inf = nan).
     """
     same = np.array((c.cos, c.cos))  # multiplies (q, p)
-    swapped = np.array((c.hsinc, -c.omega_sin))  # multiplies (p, q)
     stage = np.array((c.stage_q, c.stage_p))
-    weight = np.array((c.wq, c.wp))
+    hsinc, minus_omega_sin, wq, wp = c.hsinc, -c.omega_sin, c.wq, c.wp
+    y = z[:2]
+    (q, p), b, f = y, np.empty(y.shape), np.empty(y.shape[1:])
+    b_q, b_p = b  # the stage point Q is formed in b_q
+    evaluate = force.bind(b_q, f) if hasattr(force, "bind") else lambda: np.copyto(f, force(b_q))
+    # row by row where rows mix or F broadcasts: ufuncs on same-shape operands cost half
+    multiply, add = np.multiply, np.add  # the third argument is out
 
-    def step(z: np.ndarray) -> np.ndarray:
-        x = stage * z
-        return same * z + swapped * z[::-1] + weight * force(x[0] + x[1])
+    def step() -> None:
+        multiply(stage, y, b)
+        add(b_q, b_p, b_q)
+        evaluate()
+        multiply(hsinc, p, b_q)
+        multiply(minus_omega_sin, q, b_p)
+        multiply(same, y, y)  # y is not read again
+        add(y, b, y)
+        multiply(wq, f, b_q)
+        multiply(wp, f, b_p)
+        add(y, b, y)
 
     if c.kick is None:
         return step
+    k, kick = z[2], c.kick
 
-    def step_kicked(z: np.ndarray) -> np.ndarray:
-        y = np.array((z[0], z[1] + z[2]))  # (q, p + k)
-        x = stage * y
-        f = force(x[0] + x[1])
-        return np.concatenate((same * y + swapped * y[::-1] + weight * f, (c.kick * f)[None]))
+    def step_kicked() -> None:
+        add(p, k, p)
+        step()
+        multiply(kick, f, k)
 
     return step_kicked
 
 
 def lift(force: Callable[[np.ndarray], np.ndarray], c: Coefficients, z: np.ndarray) -> np.ndarray:
-    """The state that `step_map(force, c)` advances, from z = (q, p): z itself
+    """The state that `step_map(force, c, z)` advances, from z = (q, p): z itself
     if kick is None, else (q, p, kick g(q)). A column with kick = 0 carries an
     exact 0 even where g(q) is not finite, so a one-stage column of a mixed
     batch steps as it does alone. One force call per trajectory start."""
@@ -184,12 +199,18 @@ def stepper(m, sys: System, h: float) -> Callable[[State], State]:
     `ErknMethod` or a kick-first `TrigMethod` alike. All h-dependent
     coefficients (the method's `coefficients`) are evaluated once here; the
     returned closure is what trajectory loops should call (lifting each state
-    of a kick-first scheme for its opening half kick: two force calls)."""
+    of a kick-first scheme for its opening half kick: two force calls). States
+    are copied in and out, so none shares memory with the kernel's buffer."""
     c = m.coefficients(sys.partition, h)
-    kernel = step_map(sys.force, c)
-    if c.kick is None:
-        return lambda s: State.of(kernel(s.z))  # the kernel's output is fresh
-    return lambda s: State.of(kernel(lift(sys.force, c, s.z))[:2])
+    z = np.empty((2 if c.kick is None else 3, sys.partition.dim))
+    y, kernel = z[:2], step_map(sys.force, c, z)
+
+    def step(s: State) -> State:
+        z[...] = lift(sys.force, c, s.z)
+        kernel()
+        return State.of(y.copy())
+
+    return step
 
 
 def erkn_step(m, sys: System, h: float, s: State) -> State:

@@ -42,9 +42,9 @@ class Partition:
 
 @dataclass(frozen=True, init=False, eq=False)
 class State:
-    """Position/momentum pair, held as one (2, dim) float array z whose rows
-    are q and p. Value semantics: `State(q, p)` copies its input, `==`
-    compares z, and a state (being mutable) is unhashable."""
+    """Position/momentum pair, held as one read-only (2, dim) float array z
+    whose rows are q and p. Value semantics: `State(q, p)` copies its input,
+    `==` compares z, and a state (its z being an array) is unhashable."""
 
     z: np.ndarray
     __hash__ = None  # type: ignore[assignment]
@@ -57,12 +57,15 @@ class State:
         p = np.asarray(p, dtype=float)
         if q.ndim != 1 or q.shape != p.shape:
             raise ValueError("q and p must be 1-d arrays of equal length")
-        object.__setattr__(self, "z", np.array((q, p)))
+        z = np.array((q, p))
+        z.setflags(write=False)
+        object.__setattr__(self, "z", z)
 
     @classmethod
     def of(cls, z: np.ndarray) -> "State":
-        """A State around a fresh (2, dim) float array that nothing else holds
-        (a step kernel's output), without the copy and the checks."""
+        """A State around a fresh (2, dim) float array that nothing else holds,
+        without the copy and the checks; z is made read-only."""
+        z.setflags(write=False)
         s = object.__new__(cls)
         object.__setattr__(s, "z", z)
         return s
@@ -150,29 +153,47 @@ def fpu_system(m: int, omega: float) -> System:
         raise ValueError("need m >= 1")
     part = Partition(d1=m, d2=m, omega=omega)
 
-    def elongations(q: np.ndarray) -> np.ndarray:
+    def elongations(q: np.ndarray) -> Callable[[], np.ndarray]:
         # s_0 = q_1 - q_{m+1}, s_i = q_{i+1} - q_{m+i+1} - q_i - q_{m+i} and
-        # s_m = -(q_m + q_{2m}), so U = 1/4 sum_i s_i^4 (0-based s, 1-based q)
-        slow, stiff = q[:m], q[m:]
-        s = np.zeros((m + 1,) + q.shape[1:])
-        np.subtract(slow, stiff, out=s[:m])
-        tail = s[1:]
-        tail -= slow
-        tail -= stiff
-        return s
+        # s_m = -(q_m + q_{2m}), so U = 1/4 sum_i s_i^4 (0-based s, 1-based q).
+        # Returns a call that writes s from q and returns it; views are made once.
+        s = np.empty((m + 1,) + q.shape[1:])
+        slow, stiff, head, tail, pad = q[:m], q[m:], s[:m], s[1:], s[m:]
+
+        def fill() -> np.ndarray:  # a ufunc's third argument is out
+            pad.fill(0.0)  # a view: for 1-d s, s[m] would be a scalar copy
+            np.subtract(slow, stiff, head)
+            np.subtract(tail, slow, tail)
+            np.subtract(tail, stiff, tail)
+            return s
+
+        return fill
 
     def potential(q: np.ndarray):
-        return 0.25 * np.sum(elongations(q) ** 4, axis=0)
+        return 0.25 * np.sum(elongations(q)() ** 4, axis=0)
+
+    def bind(q: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        # a call that writes g(q) into out. Each s_i^4/4 contributes
+        # s_i^3 * ds_i/dq: slow q_i gets s_{i+1}^3 - s_i^3 and stiff q_{m+i}
+        # gets s_{i+1}^3 + s_i^3. The cubes come from one array power whatever
+        # the shape of q: a scalar ** 3 can round differently, and a batched
+        # column must match the single-trajectory step bit for bit.
+        elongate, cube = elongations(q), np.empty((m + 1,) + q.shape[1:])
+        ahead, behind, slow, stiff = cube[1:], cube[:m], out[:m], out[m:]
+
+        def force_into() -> None:
+            np.power(elongate(), 3, cube)
+            np.subtract(ahead, behind, slow)
+            np.add(ahead, behind, stiff)
+
+        return force_into
 
     def force(q: np.ndarray) -> np.ndarray:
-        # each s_i^4/4 contributes s_i^3 * ds_i/dq: slow q_i gets
-        # s_{i+1}^3 - s_i^3 and stiff q_{m+i} gets s_{i+1}^3 + s_i^3. The
-        # cubes come from one array power whatever the shape of q: a scalar
-        # ** 3 can round differently, and a batched column must match the
-        # single-trajectory step bit for bit.
-        cube = elongations(q) ** 3
-        ahead, behind = cube[1:], cube[:m]
-        return np.concatenate((ahead - behind, ahead + behind))
+        out = np.empty(q.shape)
+        bind(q, out)()
+        return out
+
+    force.bind = bind  # the in-place form, which `step_map` binds to its buffers
 
     return System(
         partition=part,

@@ -67,8 +67,9 @@ def symplecticity_defect(
     # one step of 4*dim perturbed states: (q, p) + fd_eps e_j in column j, then - fd_eps e_j
     eye = np.eye(2 * d)
     block = (s.z.reshape(2 * d, 1) + fd_eps * np.hstack((eye, -eye))).reshape(2, d, 4 * d)
-    out = step_map(sys.force, coefs)(lift(sys.force, coefs, block))[:2].reshape(2 * d, 4 * d)
-    jac = (out[:, : 2 * d] - out[:, 2 * d :]) / (2.0 * fd_eps)
+    z = lift(sys.force, coefs, block)  # the kernel's buffer: a fresh array
+    step_map(sys.force, coefs, z)()
+    jac = (z[:2, :, : 2 * d] - z[:2, :, 2 * d :]).reshape(2 * d, 2 * d) / (2.0 * fd_eps)
     jj = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
     return float(np.max(np.abs(jac.T @ jj @ jac - jj)))
 
@@ -229,19 +230,20 @@ def drift_engine(
     """Integrate B cells (method, system, `drift_coefficients`) that share h,
     t_end and stride, each from its system's initial state, at once: q and p
     are (dim, B) blocks with a column per cell, stacked into one (2, dim, B)
-    state that one `step_map` over the cells' coefficient columns advances.
-    The cells share their problem (force, potential and block sizes; omega
-    may differ), not their kind: with a kick-first cell the state carries a
-    third row, the half kick that closed the last step (`lift`), and a step
-    still makes one force call.
+    state that one `step_map` over the cells' coefficient columns advances
+    in place. The cells share their problem (force, potential and block sizes; omega
+    may differ), not their kind: with a kick-first cell the state carries
+    a third row, the half kick that closed the last step (`lift`), and a
+    step still makes one force call.
 
     Runs n = round(t_end/h) steps and samples step 0, every stride-th step
     and the final step, holding only the energies of the samples taken. A
-    block of FINITE_TEST_STEPS steps that ends non-finite is stepped again one
-    step at a time to find each blow-up's step. The batch never changes shape:
-    a cell whose state turns non-finite keeps its samples before that step and
-    a message that says where, and its column is set to zero, a state that the
-    built-in problems keep at zero.
+    block of FINITE_TEST_STEPS steps that ends non-finite is stepped again
+    from a copy of its start, one step at a time, to find each blow-up's
+    step. The batch never changes shape: a cell whose state turns non-finite
+    keeps its samples before that step and a message that says where, and
+    its column is set to zero, a state that the built-in problems keep at
+    zero.
     Returns per cell a (k, 5) array of (t, H, I, dH, dI) per sample and None,
     or for a cell that blew up its finite prefix and the message.
     """
@@ -250,7 +252,6 @@ def drift_engine(
     ends: list = [(None, None)] * len(cells)  # samples kept (None: all), blow-up message
     energy: list = []  # (2, k, B) blocks of H and I, one per flush
     coefs = Coefficients.columns(coefs)
-    step = step_map(first.force, coefs)
     z = np.stack([s.initial.z for s in systems], axis=-1)  # (2, dim, B)
     omega = np.array([s.partition.omega for s in systems])
     slots = max(2, SAMPLE_BUFFER_BYTES // z.nbytes)
@@ -265,25 +266,26 @@ def drift_engine(
     # blow-up is an expected, reported condition; silence the overflow chatter
     with np.errstate(over="ignore", invalid="ignore"):
         buf[:, :, 0] = z
-        z = lift(first.force, coefs, z)
+        z = lift(first.force, coefs, z)  # the one buffer that every step advances
+        y, step = z[:2], step_map(first.force, coefs, z)
         k, due = 1, min(stride, n)  # samples in the buffer, step of the next sample
         for done in range(0, n, FINITE_TEST_STEPS):
             if all(message for _, message in ends):
                 break  # every cell has blown up: no step is left to take
-            block, start = range(done + 1, min(done + FINITE_TEST_STEPS, n) + 1), z
+            block, start = range(done + 1, min(done + FINITE_TEST_STEPS, n) + 1), z.copy()
             for i in block:
-                z = step(z)
+                step()
                 if i == due:
                     if k == slots:
                         flush(k)
                         k = 0
-                    buf[:, :, k] = z[:2]
+                    buf[:, :, k] = y
                     k, due = k + 1, min(due + stride, n)
             if np.logical_and.reduce(np.isfinite(z), axis=None):  # one test per block
                 continue
-            z = start  # kernel outputs are fresh, so the block's start is intact
+            z[...] = start  # replay the block from its start
             for i in block:
-                z = step(z)
+                step()
                 bad = ~np.isfinite(z).all(axis=(0, 1))
                 for j in np.flatnonzero(bad):
                     if ends[j][1] is None:  # only the first blow-up counts

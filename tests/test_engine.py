@@ -354,13 +354,13 @@ def assert_rows_equal_single_steppers(sys_by_omega: dict, h: float) -> None:
         samples = drift_engine(cells, h, steps * h)
         block = Coefficients.columns([c for _, _, c in cells])
         force = cells[0][1].force
-        kernel = step_map(force, block)
         z = np.stack([(sys_.initial.q, sys_.initial.p) for _, sys_, _ in cells], axis=-1)
         z = lift(force, block, z)
+        kernel = step_map(force, block, z)
         states = [sys_.initial for _, sys_, _ in cells]
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, steps + 1):
-                z = kernel(z)
+                kernel()
                 states = [step(s) for step, s in zip(steppers, states)]
                 for j, s in enumerate(states):
                     got, where = z[:2, :, j], (names[j // 2], i)
