@@ -19,15 +19,17 @@ import functools
 import math
 import os
 import sys as _sys
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .methods import METHODS, NU_GRID, check_symmetry, check_symplecticity
+from .methods import (METHODS, NU_GRID, ErknMethod, SymmetryReport, SymplecticityReport,
+                      check_symmetry, check_symplecticity)
 from .splitting import InconsistentFilter, NonSymmetricMethod, trig_method_from, upsilon_from
 from .systems import Partition, fpu_system, linear_system
+from . import verify
 from .verify import (  # drift_series stays a cli attribute: perfbench's tracer wraps it here
     DriftCell,
     DriftStats,
@@ -86,7 +88,14 @@ def resolve_method(name: str) -> Method:
     raise KeyError(f"unknown method; valid: {', '.join([*METHODS, *trig])}")
 
 
+# Largest lattice `run` and `sweep` build: a 36-cell sweep at m = 10^4 peaked at
+# about 150 MB resident on a 2-core Xeon host.
+MAX_M = 10**4
+
+
 def build_problem(cfg: ExperimentConfig):
+    if cfg.m > MAX_M:  # before anything of size m is allocated
+        raise ValueError(f"need m <= {MAX_M}")
     if cfg.problem == "fpu":
         return fpu_system(cfg.m, cfg.omega)
     if cfg.problem == "linear":
@@ -119,7 +128,9 @@ def _prepare(
 ) -> Optional[list[tuple[ExperimentConfig, DriftCell]]]:
     """Each cell's problem and coefficients for `drift_engine`, resolving each
     distinct method name once; None, with one error line printed, if any cell
-    is invalid: `resolve_method`, `build_problem` or `drift_coefficients` fails."""
+    is invalid (`resolve_method`, `build_problem` or `drift_coefficients`
+    fails) or the cells together would take more than `verify.MAX_SAMPLES`
+    samples, all of which `_run_cells` holds before its first write."""
     resolve = functools.cache(resolve_method)  # one resolution per distinct name
     cells = []
     for cfg in cfgs:
@@ -130,6 +141,11 @@ def _prepare(
             print(f"error: {cfg.method}: {exc.args[0]}", file=err)
             return None
         cells.append((cfg, (method, problem, coefs)))
+    total = sum(verify.sample_count(cfg.h, cfg.t_end, cfg.stride) for cfg in cfgs)
+    if total > verify.MAX_SAMPLES:
+        print(f"error: need at most {verify.MAX_SAMPLES} samples in all cells, got {total}",
+              file=err)
+        return None
     return cells
 
 
@@ -183,6 +199,35 @@ def cmd_run(
     return code
 
 
+def _structure(m: ErknMethod, grid: Sequence[float]) -> tuple:
+    """m's symmetry and symplecticity reports on grid, and its kick filter or
+    the error that refuses one."""
+    try:
+        kick = upsilon_from(m, grid=grid)
+    except (NonSymmetricMethod, InconsistentFilter) as exc:
+        kick = exc.with_traceback(None)
+    return check_symmetry(m, grid=grid), check_symplecticity(m, grid=grid), kick
+
+
+@functools.lru_cache(maxsize=len(METHODS))
+def _nu_grid_structure(m: ErknMethod) -> tuple:
+    """`_structure` on NU_GRID, which every `check` of m shares."""
+    return _structure(m, NU_GRID)
+
+
+def _union(a, b):
+    """What one `_structure` entry is on the union of two grids, from what it
+    is on each: reports pass on both and keep the larger residual, and a kick
+    filter is refused by the larger disagreement, if any."""
+    if isinstance(a, (SymmetryReport, SymplecticityReport)):
+        return replace(a, passed=a.passed and b.passed,
+                       max_residual=max(a.max_residual, b.max_residual))
+    if isinstance(b, InconsistentFilter) and not (
+            isinstance(a, InconsistentFilter) and a.worst >= b.worst):
+        return b
+    return a
+
+
 def _check_grid(nu: float) -> list[float]:
     """NU_GRID (0 to 10), stretched by at most 1000 evenly spaced points on
     (10, nu] when the operating point nu lies beyond it; the last point is nu
@@ -212,26 +257,23 @@ def cmd_check(
         print("error: need finite numbers with h > 0, omega >= 0 and c > 0", file=err)
         return EXIT_USAGE
     m = METHODS[method]
-    grid = _check_grid(h * omega)
-
-    sym = check_symmetry(m, grid=grid)
+    stretch = _check_grid(h * omega)[len(NU_GRID):]
+    sym, sp, kick = map(_union, _nu_grid_structure(m), _structure(m, stretch))
     print(f"method {m.name}: c1 = {m.c1:g}", file=out)
     print(
         f"symmetric: {'pass' if sym.passed else 'fail'} "
         f"(max residual {sym.max_residual:.3e})",
         file=out,
     )
-    sp = check_symplecticity(m, grid=grid)
     print(
         f"symplectic: {'pass' if sp.passed else 'fail'} "
         f"(d1 = {sp.d1:g}, max residual {sp.max_residual:.3e})",
         file=out,
     )
-    try:
-        ups = upsilon_from(m, grid=grid)
-        print(f"kick filter: available (Upsilon(0) = {ups(0.0):g})", file=out)
-    except (NonSymmetricMethod, InconsistentFilter) as exc:
-        print(f"kick filter: {type(exc).__name__}: {m.name}: {exc}", file=out)
+    if isinstance(kick, ValueError):
+        print(f"kick filter: {type(kick).__name__}: {m.name}: {kick}", file=out)
+    else:
+        print(f"kick filter: available (Upsilon(0) = {kick(0.0):g})", file=out)
 
     rep = assumption_report(m, h, omega, c=c, c0=c0, sigma_lo=sigma_lo, sigma_hi=sigma_hi)
     print(
@@ -333,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     # are shared by run and sweep.
     trajectory = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     trajectory.add_argument("--problem", choices=["fpu", "linear"])
-    trajectory.add_argument("--m", type=int, help="block size (d1 = d2 = m)")
+    trajectory.add_argument("--m", type=int, help=f"block size (d1 = d2 = m <= {MAX_M})")
     trajectory.add_argument("--t-end", type=float)
     trajectory.add_argument("--stride", type=int)
 

@@ -27,7 +27,13 @@ class NonSymmetricMethod(ValueError):
 
 
 class InconsistentFilter(ValueError):
-    """The two filter expressions disagree, so no single kick filter exists."""
+    """The two filter expressions disagree by `worst` on a grid, so no single
+    kick filter exists."""
+
+    def __init__(self, worst: float):
+        super().__init__("filter expressions b/cos(nu/2) and 2*bbar/sinc(nu/2) "
+                         f"disagree by {worst:.3e} on the grid")
+        self.worst = worst
 
 
 class ResonantStepsize(ValueError):
@@ -81,10 +87,7 @@ def upsilon_from(m: ErknMethod, grid: Sequence[float] = NU_GRID) -> Callable[[fl
         if r > worst:
             worst = r
     if worst > COEFF_TOL:
-        raise InconsistentFilter(
-            "filter expressions b/cos(nu/2) and 2*bbar/sinc(nu/2) "
-            f"disagree by {worst:.3e} on the grid"
-        )
+        raise InconsistentFilter(worst)
 
     def upsilon(nu: float) -> float:
         cc = math.cos(0.5 * nu)

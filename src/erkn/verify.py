@@ -203,8 +203,7 @@ def drift_coefficients(
         raise ValueError("need 0 < h <= t_end with t_end and t_end/h finite")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    n = round(t_end / h)
-    if n > MAX_STEPS or -(-n // stride) + 1 > MAX_SAMPLES:  # step 0, every stride-th, the last
+    if round(t_end / h) > MAX_STEPS or sample_count(h, t_end, stride) > MAX_SAMPLES:
         raise ValueError(f"need at most {MAX_STEPS} steps and {MAX_SAMPLES} samples")
     if sys.initial is None:
         raise ValueError(f"system {sys.label!r} has no designated initial state")
@@ -212,7 +211,14 @@ def drift_coefficients(
     return method.coefficients(sys.partition, h)
 
 
-# Samples one cell may take: its (t, H, I, dH, dI) rows are 40 B each, 4 GB in all.
+def sample_count(h: float, t_end: float, stride: int) -> int:
+    """Rows of a drift series of round(t_end/h) steps: step 0, every
+    stride-th step and the last."""
+    return -(-round(t_end / h) // stride) + 1
+
+
+# Samples one cell, or the cells of one sweep together, may take: their (t, H, I,
+# dH, dI) rows are 40 B each, 4 GB in all.
 MAX_SAMPLES = 10**8
 # Steps one cell may take: at about 17 us a step (one m = 3 cell on a Xeon core), two days.
 MAX_STEPS = 10**10

@@ -1,6 +1,7 @@
 """Command line wiring: formats, filenames, exit codes, determinism."""
 
 import io
+import math
 import os
 import re
 import subprocess
@@ -30,7 +31,7 @@ from erkn.cli import (
     resolve_method,
     write_drift_csv,
 )
-from erkn import METHODS, NU_GRID, TrigMethod, cli
+from erkn import METHODS, NU_GRID, TrigMethod, cli, verify
 
 
 def run_cfg(tmp_path, **kw):
@@ -255,6 +256,60 @@ def test_a_sweep_reports_one_invalid_cell(tmp_path, capsys):
     assert not (tmp_path / "grid").exists()
 
 
+def test_a_sweep_bounds_the_samples_of_all_its_cells(tmp_path, capsys, monkeypatch):
+    """The cells of a sweep together may take at most MAX_SAMPLES samples,
+    since all their rows are held before the first CSV is written; each cell
+    alone fits in the bound at which the sweep is refused."""
+    argv = ["sweep", "--methods", "ERKN2,trig:ERKN3", "--omegas", "50,200", "--hs", "0.1,0.05",
+            "--t-end", "10", "--stride", "3", "--outdir", str(tmp_path / "grid")]
+    per_cell = [verify.sample_count(h, 10.0, 3) for h in (0.1, 0.05)]  # 35 and 68
+    total = 4 * sum(per_cell)
+    monkeypatch.setattr(verify, "MAX_SAMPLES", total - 1)
+    assert max(per_cell) <= verify.MAX_SAMPLES
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: need at most {total - 1} samples in all cells, got {total}"]
+    assert not (tmp_path / "grid").exists()
+    monkeypatch.setattr(verify, "MAX_SAMPLES", total)
+    assert main(argv) == EXIT_OK
+    assert len(list((tmp_path / "grid").iterdir())) == 9
+
+
+def test_the_lattice_size_is_bounded(tmp_path, capsys):
+    """--m may be at most MAX_M; one step at MAX_M runs."""
+    out = tmp_path / "m.csv"
+    for m, code in [(cli.MAX_M + 1, EXIT_USAGE), (cli.MAX_M, EXIT_OK)]:
+        argv = ["run", "--method", "ERKN2", "--m", str(m), "--h", "0.1", "--t-end", "0.1"]
+        assert main([*argv, "-o", str(out)]) == code
+        assert out.is_file() == (code == EXIT_OK)
+    assert capsys.readouterr().err == f"error: ERKN2: need m <= {cli.MAX_M}\n"
+
+
+def test_check_reuses_each_methods_nu_grid_report():
+    """`check` takes NU_GRID's part of its report from a per-method cache and
+    the stretch beyond 10 from the grid; joined, the two equal the report on
+    the whole grid, also for methods whose residual is worst beyond 10."""
+    def agree(a, b) -> bool:
+        if isinstance(a, Exception) or isinstance(b, Exception):
+            return type(a) is type(b) and str(a) == str(b)
+        return a == b if not callable(a) else all(a(x) == b(x) for x in (0.0, 1.0, 2.5))
+
+    def drifted(eps: float) -> erkn.ErknMethod:  # ERKN2 off by eps, more beyond nu = 10
+        return erkn.ErknMethod(
+            f"drift{eps:g}", 0.5, bbar=lambda nu: 0.5 * erkn.sinc(0.5 * nu),
+            b=lambda nu: math.cos(0.5 * nu) * (1.0 + eps + max(0.0, nu - 10.0)))
+
+    drifting = [drifted(0.0), drifted(0.01)]  # the stretch decides their reports
+    for m in [*METHODS.values(), *drifting]:
+        for nu in (0.5, 10.0, 10.05, 23.0, 4000.0):
+            grid = _check_grid(nu)
+            joined = map(cli._union, cli._nu_grid_structure(m), cli._structure(m, grid[101:]))
+            assert all(map(agree, joined, cli._structure(m, grid))), (m.name, nu)
+    report = cli._structure(drifting[0], _check_grid(23.0))
+    assert not report[0].passed and isinstance(report[2], erkn.InconsistentFilter)
+    assert cli._nu_grid_structure.cache_info().maxsize == len(METHODS)
+
+
 def test_a_method_without_a_kick_filter_is_named_once(tmp_path, capsys):
     """A `trig:` name whose method has no kick filter is refused in one line
     that names it once; `check` names the base method in its report."""
@@ -397,6 +452,12 @@ INVALID_NUMBERS = [
     # more than MAX_STEPS steps, however few samples: 1e210 steps in 2 samples
     ("run", ["--method", "ERKN2", "--h", "1e-200", "--t-end", "1e10", "--stride", "1" + "0" * 210]),
     ("run", ["--method", "ERKN2", "--problem", "linear", "--m", "-1"]),
+    # m above MAX_M: refused before anything of size m is allocated
+    ("run", ["--method", "ERKN2", "--m", "1000000000"]),
+    ("sweep", ["--methods", "ERKN2", "--hs", "0.1", "--omegas", "50", "--m", "1000000000"]),
+    # 36 cells of at most 10^8 samples each, 1.98e9 together: more than MAX_SAMPLES
+    ("sweep", ["--methods", "ERKN1,ERKN2,ERKN3,ERKN4,ERKN5,ERKN6,trig:ERKN2,trig:ERKN3,trig:ERKN4",
+               "--hs", "0.1,0.01", "--omegas", "50,200", "--t-end", "999999.99", "--stride", "1"]),
     ("run", ["--method", "trig:ERKN3", "--h", "0.1", "--omega", "31.41592653589793"]),
     ("sweep", ["--methods", "trig:ERKN3", "--hs", "0.1", "--omegas", "31.41592653589793"]),
     ("sweep", ["--methods", "ERKN2", "--hs", "nan", "--omegas", "50"]),
