@@ -237,10 +237,10 @@ def drift_engine(
     t_end and stride, each from its system's initial state, at once: q and p
     are (dim, B) blocks with a column per cell, stacked into one (2, dim, B)
     state that one `step_map` over the cells' coefficient columns advances
-    in place. The cells share their problem (force, potential and block sizes; omega
-    may differ), not their kind: with a kick-first cell the state carries
-    a third row, the half kick that closed the last step (`lift`), and a
-    step still makes one force call.
+    in place. The cells share their problem (force, potential and block
+    sizes; omega may differ), not their kind: with a kick-first cell the
+    state carries a third row, the half kick that closed the last step
+    (`lift`), and a step still makes one force call.
 
     Runs n = round(t_end/h) steps and samples step 0, every stride-th step
     and the final step, holding only the energies of the samples taken. A
@@ -248,8 +248,7 @@ def drift_engine(
     from a copy of its start, one step at a time, to find each blow-up's
     step. The batch never changes shape: a cell whose state turns non-finite
     keeps its samples before that step and a message that says where, and
-    its column is set to zero, a state that the built-in problems keep at
-    zero.
+    its column is set to zero, a state that the built-in problems keep at zero.
     Returns per cell a (k, 5) array of (t, H, I, dH, dI) per sample and None,
     or for a cell that blew up its finite prefix and the message.
     """
