@@ -166,7 +166,7 @@ def step_map(force: Callable[[np.ndarray], np.ndarray], c: Coefficients,
         evaluate()
         multiply(hsinc, p, b_q)
         multiply(minus_omega_sin, q, b_p)
-        multiply(same, y, y)  # y is not read again
+        multiply(same, y, y)  # the old y is not needed after this
         add(y, b, y)
         multiply(wq, f, b_q)
         multiply(wp, f, b_p)
