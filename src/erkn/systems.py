@@ -216,6 +216,7 @@ def linear_system(part: Partition) -> System:
     def force(q: np.ndarray) -> np.ndarray:
         return np.zeros(q.shape)
 
+    force.bind = lambda q, out: lambda: out.fill(0.0)  # the in-place form (see `fpu_system`)
     z = np.zeros((2, part.dim))  # rows q and p
     if part.d1 > 0:
         z[:, 0] = 1.0

@@ -80,9 +80,11 @@ def log_uniform(lo: float, hi: float):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
-def assert_kernel_matches_oracle(names: list, omegas: list, h: float, seed: int) -> None:
+def assert_kernel_matches_oracle(names: list, omegas: list, h: float, seed: int,
+                                 plain: bool = False) -> None:
     """One batch, a column per (method, omega), from perturbed FPU starts:
-    100 in-place steps equal 100 oracle steps bit for bit."""
+    100 in-place steps equal 100 oracle steps bit for bit. With plain set the
+    kernel gets the force without its `bind`, so it calls it and copies."""
     rng = np.random.default_rng(seed)
     cells = [(resolve(name), fpu_system(3, w)) for name in names for w in omegas]
     for _, sys_ in cells:
@@ -91,7 +93,8 @@ def assert_kernel_matches_oracle(names: list, omegas: list, h: float, seed: int)
     c = coefs[0] if len(cells) == 1 else Coefficients.columns(coefs)
     starts = [s.initial.z + 0.1 * rng.standard_normal(s.initial.z.shape) for _, s in cells]
     z0 = starts[0] if len(cells) == 1 else np.stack(starts, axis=-1)
-    force = cells[0][1].force
+    system_force = cells[0][1].force
+    force = (lambda q: system_force(q)) if plain else system_force  # plain: without bind
     oracle = allocating_step_map(power_force(3), c)
     want = lift(power_force(3), c, z0)
     z = lift(force, c, z0.copy())  # for a one-stage batch, lift returns its input
@@ -105,9 +108,9 @@ def assert_kernel_matches_oracle(names: list, omegas: list, h: float, seed: int)
 
 @PROPERTY
 @given(log_uniform(0.005, 0.4), log_uniform(5.0, 400.0),
-       st.sampled_from(list(METHODS) + KICK_FIRST), st.integers(0, 2**32 - 1))
-def test_a_single_state_kernel_matches_the_allocating_kernel(h, omega, name, seed):
-    assert_kernel_matches_oracle([name], [omega], h, seed)
+       st.sampled_from(list(METHODS) + KICK_FIRST), st.integers(0, 2**32 - 1), st.booleans())
+def test_a_single_state_kernel_matches_the_allocating_kernel(h, omega, name, seed, plain):
+    assert_kernel_matches_oracle([name], [omega], h, seed, plain)
 
 
 @PROPERTY
@@ -119,6 +122,7 @@ def test_batches_of_18_match_the_allocating_kernel(h, omega_a, omega_b, seed):
     assert_kernel_matches_oracle(list(METHODS), omegas, h, seed)
     assert_kernel_matches_oracle(KICK_FIRST, omegas + [2.0 * w for w in omegas], h, seed)
     assert_kernel_matches_oracle(list(METHODS) + KICK_FIRST, omegas[:2], h, seed)
+    assert_kernel_matches_oracle(list(METHODS) + KICK_FIRST, omegas[:2], h, seed, plain=True)
 
 
 def special_entries(shape: tuple, seed: int) -> np.ndarray:
