@@ -83,7 +83,8 @@ def log_uniform(lo: float, hi: float):
 def assert_kernel_matches_oracle(names: list, omegas: list, h: float, seed: int,
                                  plain: bool = False) -> None:
     """One batch, a column per (method, omega), from perturbed FPU starts:
-    100 in-place steps equal 100 oracle steps bit for bit. With plain set the
+    100 in-place steps equal 100 oracle steps bit for bit, also after a column
+    has blown up to inf or nan. With plain set the
     kernel gets the force without its `bind`, so it calls it and copies."""
     rng = np.random.default_rng(seed)
     cells = [(resolve(name), fpu_system(3, w)) for name in names for w in omegas]
@@ -100,10 +101,13 @@ def assert_kernel_matches_oracle(names: list, omegas: list, h: float, seed: int,
     z = lift(force, c, z0.copy())  # for a one-stage batch, lift returns its input
     assert z.tobytes() == want.tobytes()
     kernel = step_map(force, c, z)
-    for i in range(1, STEPS + 1):
-        kernel()
-        want = oracle(want)
-        assert z.tobytes() == want.tobytes(), (names, i)
+    # at the larger h some columns blow up to inf and nan; both kernels must
+    # still agree bit for bit there, so overflow is expected, not an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, STEPS + 1):
+            kernel()
+            want = oracle(want)
+            assert z.tobytes() == want.tobytes(), (names, i)
 
 
 @PROPERTY
