@@ -14,11 +14,11 @@ from .methods import (
     erkn_step,
     step_map,
     stepper,
+    symplectic,
 )
 from .oscfun import block_expand, sinc
 from .splitting import (
     ConjugacyReport,
-    InconsistentFilter,
     NonSymmetricMethod,
     ResonantStepsize,
     TrigMethod,

@@ -25,10 +25,9 @@ from typing import Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .methods import (METHODS, NU_GRID, ErknMethod, SymmetryReport, SymplecticityReport,
-                      check_symmetry, check_symplecticity)
-from .splitting import InconsistentFilter, NonSymmetricMethod, trig_method_from, upsilon_from
-from .systems import Partition, fpu_system, linear_system
+from .methods import METHODS, NU_GRID, check_symmetry, check_symplecticity, nu_grid_reports
+from .splitting import NonSymmetricMethod, filter_refusal, trig_method_from
+from .systems import Partition, energies, fpu_system, linear_system
 from . import verify
 from .verify import (  # drift_series stays a cli attribute: perfbench's tracer wraps it here
     DriftCell,
@@ -83,7 +82,7 @@ def resolve_method(name: str) -> Method:
         return trig_method_from(METHODS[name[5:]])
     trig = []  # the names the branch above resolves: methods with a kick filter
     for m in METHODS.values():
-        with contextlib.suppress(NonSymmetricMethod, InconsistentFilter):
+        with contextlib.suppress(NonSymmetricMethod):
             trig.append(trig_method_from(m).name)
     raise KeyError(f"unknown method; valid: {', '.join([*METHODS, *trig])}")
 
@@ -94,13 +93,22 @@ MAX_M = 10**4
 
 
 def build_problem(cfg: ExperimentConfig):
+    """The configured system; ValueError if its start has a non-finite energy
+    (omega^2 overflows in I from omega near 1e154), so that every dH would be nan."""
     if cfg.m > MAX_M:  # before anything of size m is allocated
         raise ValueError(f"need m <= {MAX_M}")
     if cfg.problem == "fpu":
-        return fpu_system(cfg.m, cfg.omega)
-    if cfg.problem == "linear":
-        return linear_system(Partition(d1=cfg.m, d2=cfg.m, omega=cfg.omega))
-    raise KeyError(f"unknown problem {cfg.problem!r}; valid: fpu, linear")
+        problem = fpu_system(cfg.m, cfg.omega)
+    elif cfg.problem == "linear":
+        problem = linear_system(Partition(d1=cfg.m, d2=cfg.m, omega=cfg.omega))
+    else:
+        raise KeyError(f"unknown problem {cfg.problem!r}; valid: fpu, linear")
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = energies(problem, *problem.initial.z)
+    if not np.isfinite(start).all():
+        raise ValueError(f"the start of {problem.label} has non-finite energies "
+                         f"(H = {start[0]:g}, I = {start[1]:g})")
+    return problem
 
 
 # Rows formatted by one `%` operation; the text of one block is held at a time.
@@ -127,15 +135,17 @@ def _prepare(
     cfgs: Sequence[ExperimentConfig], err: TextIO
 ) -> Optional[list[tuple[ExperimentConfig, DriftCell]]]:
     """Each cell's problem and coefficients for `drift_engine`, resolving each
-    distinct method name once; None, with one error line printed, if any cell
+    distinct method name and building each distinct system once; None, with one error line printed, if any cell
     is invalid (`resolve_method`, `build_problem` or `drift_coefficients`
     fails) or the cells together would take more than `verify.MAX_SAMPLES`
     samples, all of which `_run_cells` holds before its first write."""
     resolve = functools.cache(resolve_method)  # one resolution per distinct name
+    build = functools.cache(  # one system per distinct (problem, m, omega)
+        lambda problem, m, omega: build_problem(ExperimentConfig("", problem, m, omega)))
     cells = []
     for cfg in cfgs:
         try:
-            method, problem = resolve(cfg.method), build_problem(cfg)
+            method, problem = resolve(cfg.method), build(cfg.problem, cfg.m, cfg.omega)
             coefs = drift_coefficients(method, problem, cfg.h, cfg.t_end, cfg.stride)
         except (KeyError, ValueError) as exc:  # the splitting module's errors included
             print(f"error: {cfg.method}: {exc.args[0]}", file=err)
@@ -199,33 +209,11 @@ def cmd_run(
     return code
 
 
-def _structure(m: ErknMethod, grid: Sequence[float]) -> tuple:
-    """m's symmetry and symplecticity reports on grid, and its kick filter or
-    the error that refuses one."""
-    try:
-        kick = upsilon_from(m, grid=grid)
-    except (NonSymmetricMethod, InconsistentFilter) as exc:
-        kick = exc.with_traceback(None)
-    return check_symmetry(m, grid=grid), check_symplecticity(m, grid=grid), kick
-
-
-@functools.lru_cache(maxsize=len(METHODS))
-def _nu_grid_structure(m: ErknMethod) -> tuple:
-    """`_structure` on NU_GRID, which every `check` of m shares."""
-    return _structure(m, NU_GRID)
-
-
 def _union(a, b):
-    """What one `_structure` entry is on the union of two grids, from what it
-    is on each: reports pass on both and keep the larger residual, and a kick
-    filter is refused by the larger disagreement, if any."""
-    if isinstance(a, (SymmetryReport, SymplecticityReport)):
-        return replace(a, passed=a.passed and b.passed,
-                       max_residual=max(a.max_residual, b.max_residual))
-    if isinstance(b, InconsistentFilter) and not (
-            isinstance(a, InconsistentFilter) and a.worst >= b.worst):
-        return b
-    return a
+    """A structure report on the union of two grids, from the reports on each:
+    it passes on both and keeps the larger residual."""
+    return replace(a, passed=a.passed and b.passed,
+                   max_residual=max(a.max_residual, b.max_residual))
 
 
 def _check_grid(nu: float) -> list[float]:
@@ -258,7 +246,8 @@ def cmd_check(
         return EXIT_USAGE
     m = METHODS[method]
     stretch = _check_grid(h * omega)[len(NU_GRID):]
-    sym, sp, kick = map(_union, _nu_grid_structure(m), _structure(m, stretch))
+    sym, sp = map(_union, nu_grid_reports(m),
+                  (check_symmetry(m, stretch), check_symplecticity(m, stretch)))
     print(f"method {m.name}: c1 = {m.c1:g}", file=out)
     print(
         f"symmetric: {'pass' if sym.passed else 'fail'} "
@@ -270,10 +259,11 @@ def cmd_check(
         f"(d1 = {sp.d1:g}, max residual {sp.max_residual:.3e})",
         file=out,
     )
-    if isinstance(kick, ValueError):
-        print(f"kick filter: {type(kick).__name__}: {m.name}: {kick}", file=out)
-    else:
-        print(f"kick filter: available (Upsilon(0) = {kick(0.0):g})", file=out)
+    refusal = filter_refusal(m, sym)
+    if refusal is not None:
+        print(f"kick filter: {type(refusal).__name__}: {m.name}: {refusal}", file=out)
+    else:  # Upsilon(0) = b(0)/cos(0)
+        print(f"kick filter: available (Upsilon(0) = {m.b(0.0):g})", file=out)
 
     rep = assumption_report(m, h, omega, c=c, c0=c0, sigma_lo=sigma_lo, sigma_hi=sigma_hi)
     print(

@@ -14,6 +14,7 @@ so no cancellation path exists.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -47,44 +48,37 @@ class ErknMethod:
                             h * block_expand(self.b, part, nu))
 
 
-METHODS: dict[str, ErknMethod] = {
-    "ERKN1": ErknMethod(
+def symplectic(name: str, c1: float, d1: float = 1.0) -> ErknMethod:
+    """The symplectic method with node c1 and weight constant d1:
+    b(nu) = d1 cos((1-c1) nu) and bbar(nu) = d1 (1-c1) sinc((1-c1) nu)."""
+    c2 = 1.0 - c1
+    return ErknMethod(name, c1, bbar=lambda nu: d1 * c2 * sinc(c2 * nu),
+                      b=lambda nu: d1 * math.cos(c2 * nu))
+
+
+METHODS: dict[str, ErknMethod] = {m.name: m for m in (
+    ErknMethod(
         "ERKN1",
         0.5,
         bbar=lambda nu: 0.5 * sinc(0.5 * nu) ** 2,
         b=lambda nu: math.cos(0.5 * nu),
     ),
-    "ERKN2": ErknMethod(
-        "ERKN2",
-        0.5,
-        bbar=lambda nu: 0.5 * sinc(0.5 * nu),
-        b=lambda nu: math.cos(0.5 * nu),
-    ),
-    "ERKN3": ErknMethod(
+    symplectic("ERKN2", 0.5),
+    ErknMethod(
         "ERKN3",
         0.5,
         bbar=lambda nu: 0.5 * sinc(nu) * math.cos(0.5 * nu),
         b=lambda nu: math.cos(0.5 * nu) ** 3,
     ),
-    "ERKN4": ErknMethod(
+    ErknMethod(
         "ERKN4",
         0.5,
         bbar=lambda nu: 0.5 * sinc(0.5 * nu) ** 2,
         b=lambda nu: sinc(0.5 * nu) * math.cos(0.5 * nu),
     ),
-    "ERKN5": ErknMethod(
-        "ERKN5",
-        0.4,
-        bbar=lambda nu: 0.6 * sinc(0.6 * nu),
-        b=lambda nu: math.cos(0.6 * nu),
-    ),
-    "ERKN6": ErknMethod(
-        "ERKN6",
-        0.2,
-        bbar=lambda nu: 0.8 * sinc(0.8 * nu),
-        b=lambda nu: math.cos(0.8 * nu),
-    ),
-}
+    symplectic("ERKN5", 0.4),
+    symplectic("ERKN6", 0.2),
+)}
 
 
 def rotation(
@@ -253,16 +247,23 @@ def check_symplecticity(
     """Exact-coefficient symplecticity test.
 
     The constant d1 is pinned at nu = 0 (where the cosine factor is 1);
-    passes iff b(nu) = d1 cos((1-c1) nu) and
-    bbar(nu) = d1 (1-c1) sinc((1-c1) nu) on the grid.
+    passes iff m's weights equal those of `symplectic(m.name, m.c1, d1)` on
+    the grid.
     """
     d1 = m.b(0.0)
-    c2 = 1.0 - m.c1
+    ref = symplectic(m.name, m.c1, d1)
     worst = 0.0
     for nu in grid:
-        rb = abs(m.b(nu) - d1 * math.cos(c2 * nu))
-        rbb = abs(m.bbar(nu) - d1 * c2 * sinc(c2 * nu))
+        rb = abs(m.b(nu) - ref.b(nu))
+        rbb = abs(m.bbar(nu) - ref.bbar(nu))
         r = rb if rb > rbb else rbb
         if r > worst:
             worst = r
     return SymplecticityReport(worst <= tol, d1, worst)
+
+
+@functools.lru_cache(maxsize=len(METHODS))
+def nu_grid_reports(m: ErknMethod) -> tuple[SymmetryReport, SymplecticityReport]:
+    """`check_symmetry` and `check_symplecticity` of m on NU_GRID, scanned once
+    per method (the last len(METHODS) methods asked for are kept)."""
+    return check_symmetry(m), check_symplecticity(m)

@@ -17,23 +17,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .methods import COEFF_TOL, NU_GRID, Coefficients, ErknMethod, erkn_step, rotation, stepper
-from .oscfun import block_expand, sinc
+from .methods import (COEFF_TOL, NU_GRID, Coefficients, ErknMethod, SymmetryReport,
+                      check_symmetry, erkn_step, nu_grid_reports, rotation, stepper)
+from .oscfun import block_expand
 from .systems import Partition, State, System
 
 
 class NonSymmetricMethod(ValueError):
     """Kick filter requested for a method outside the symmetric family."""
-
-
-class InconsistentFilter(ValueError):
-    """The two filter expressions disagree by `worst` on a grid, so no single
-    kick filter exists."""
-
-    def __init__(self, worst: float):
-        super().__init__("filter expressions b/cos(nu/2) and 2*bbar/sinc(nu/2) "
-                         f"disagree by {worst:.3e} on the grid")
-        self.worst = worst
 
 
 class ResonantStepsize(ValueError):
@@ -68,26 +59,30 @@ def flow_kick(
     return State(s.q, s.p + h * (u * sys.force(s.q)))
 
 
+def filter_refusal(m: ErknMethod, sym: SymmetryReport) -> Optional[NonSymmetricMethod]:
+    """Why m has no kick filter, given its `check_symmetry` report: its node is
+    not 1/2 (tested first), or the report fails; None if it has one."""
+    if m.c1 != 0.5:
+        return NonSymmetricMethod(f"the kick filter needs c1 = 1/2, got c1 = {m.c1:g}")
+    if not sym.passed:
+        return NonSymmetricMethod(f"symmetry residual {sym.max_residual:.3e} exceeds "
+                                  f"{COEFF_TOL:g} on the grid")
+    return None
+
+
 def upsilon_from(m: ErknMethod, grid: Sequence[float] = NU_GRID) -> Callable[[float], float]:
     """Extract the kick filter nu -> b(nu)/cos(nu/2) of a symmetric method.
 
-    The alternative expression 2*bbar(nu)/sinc(nu/2) must agree within
-    COEFF_TOL on the grid (points within FILTER_POLE_TOL of a pole skipped);
-    the returned function refuses arguments on a pole of cos(nu/2).
+    Refused (`filter_refusal`) exactly when `check_symmetry(m, grid)` fails,
+    since its relation (1 + cos nu) bbar = sinc(nu) b is 2 bbar/sinc(nu/2) =
+    b/cos(nu/2) off the poles: one filter gives both weights. On NU_GRID the
+    report is `nu_grid_reports`'s. The returned function refuses arguments on
+    a pole of cos(nu/2).
     """
-    if m.c1 != 0.5:
-        raise NonSymmetricMethod(f"the kick filter needs c1 = 1/2, got c1 = {m.c1:g}")
-    worst = 0.0
-    for nu in grid:
-        cc = math.cos(0.5 * nu)
-        ss = sinc(0.5 * nu)
-        if abs(cc) < FILTER_POLE_TOL or abs(ss) < FILTER_POLE_TOL:
-            continue
-        r = abs(m.b(nu) / cc - 2.0 * m.bbar(nu) / ss)
-        if r > worst:
-            worst = r
-    if worst > COEFF_TOL:
-        raise InconsistentFilter(worst)
+    refusal = filter_refusal(m, nu_grid_reports(m)[0] if grid is NU_GRID
+                             else check_symmetry(m, grid))
+    if refusal is not None:
+        raise refusal
 
     def upsilon(nu: float) -> float:
         cc = math.cos(0.5 * nu)

@@ -254,6 +254,7 @@ def drift_engine(
     """
     methods, systems, coefs = zip(*cells)
     first, n = systems[0], int(round(t_end / h))
+    stride = min(stride, n)  # any stride >= n samples steps 0 and n
     ends: list = [(None, None)] * len(cells)  # samples kept (None: all), blow-up message
     energy: list = []  # (2, k, B) blocks of H and I, one per flush
     coefs = Coefficients.columns(coefs)

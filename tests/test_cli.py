@@ -32,6 +32,7 @@ from erkn.cli import (
     write_drift_csv,
 )
 from erkn import METHODS, NU_GRID, TrigMethod, cli, verify
+from erkn.methods import nu_grid_reports
 
 
 def run_cfg(tmp_path, **kw):
@@ -166,7 +167,7 @@ def test_cmd_check_reports_structure():
     assert cmd_check("ERKN1", out=buf) == EXIT_OK
     text = buf.getvalue()
     assert "symmetric: fail" in text
-    assert "InconsistentFilter" in text
+    assert "kick filter: NonSymmetricMethod: ERKN1: symmetry residual " in text
 
     buf = io.StringIO()
     assert cmd_check("ERKN5", out=buf) == EXIT_OK
@@ -275,6 +276,28 @@ def test_a_sweep_bounds_the_samples_of_all_its_cells(tmp_path, capsys, monkeypat
     assert len(list((tmp_path / "grid").iterdir())) == 9
 
 
+def test_a_stride_beyond_the_step_count_samples_the_first_and_last_steps(tmp_path, capsys):
+    """Any stride of at least n = round(t_end/h) steps samples steps 0 and n,
+    so `run` and `sweep` write the same bytes at strides 2**63 and 2**70,
+    beyond a C long, as at stride n."""
+    def outputs(stride: int) -> list[bytes]:
+        where = tmp_path / f"stride{stride}"
+        run, grid = where / "run.csv", where / "grid"
+        where.mkdir()
+        assert main(["run", "--method", "trig:ERKN2", "--t-end", "1", "--stride", str(stride),
+                     "-o", str(run)]) == EXIT_OK
+        assert main(["sweep", "--methods", "ERKN2,trig:ERKN3", "--omegas", "50,200", "--hs", "0.1",
+                     "--t-end", "1", "--stride", str(stride), "--outdir", str(grid)]) == EXIT_OK
+        out = capsys.readouterr().out.replace(str(where), "D")
+        return [out.encode(), run.read_bytes(),
+                *(p.read_bytes() for p in sorted(grid.iterdir()))]
+
+    at_n = outputs(10)
+    assert len(at_n) == 7 and at_n[1].count(b"\n") == 3  # header, steps 0 and 10
+    for stride in (2**63, 2**70):
+        assert outputs(stride) == at_n
+
+
 def test_the_lattice_size_is_bounded(tmp_path, capsys):
     """--m may be at most MAX_M; one step at MAX_M runs."""
     out = tmp_path / "m.csv"
@@ -286,14 +309,11 @@ def test_the_lattice_size_is_bounded(tmp_path, capsys):
 
 
 def test_check_reuses_each_methods_nu_grid_report():
-    """`check` takes NU_GRID's part of its report from a per-method cache and
-    the stretch beyond 10 from the grid; joined, the two equal the report on
-    the whole grid, also for methods whose residual is worst beyond 10."""
-    def agree(a, b) -> bool:
-        if isinstance(a, Exception) or isinstance(b, Exception):
-            return type(a) is type(b) and str(a) == str(b)
-        return a == b if not callable(a) else all(a(x) == b(x) for x in (0.0, 1.0, 2.5))
-
+    """`check` takes NU_GRID's part of its reports from the per-method memo
+    `nu_grid_reports` and the stretch beyond 10 from the grid; joined, the two
+    equal the reports on the whole grid, also for methods whose residual is
+    worst beyond 10, and the joined symmetry report refuses the kick filter
+    as `upsilon_from` does on the whole grid."""
     def drifted(eps: float) -> erkn.ErknMethod:  # ERKN2 off by eps, more beyond nu = 10
         return erkn.ErknMethod(
             f"drift{eps:g}", 0.5, bbar=lambda nu: 0.5 * erkn.sinc(0.5 * nu),
@@ -303,18 +323,24 @@ def test_check_reuses_each_methods_nu_grid_report():
     for m in [*METHODS.values(), *drifting]:
         for nu in (0.5, 10.0, 10.05, 23.0, 4000.0):
             grid = _check_grid(nu)
-            joined = map(cli._union, cli._nu_grid_structure(m), cli._structure(m, grid[101:]))
-            assert all(map(agree, joined, cli._structure(m, grid))), (m.name, nu)
-    report = cli._structure(drifting[0], _check_grid(23.0))
-    assert not report[0].passed and isinstance(report[2], erkn.InconsistentFilter)
-    assert cli._nu_grid_structure.cache_info().maxsize == len(METHODS)
+            stretch = grid[len(NU_GRID):]
+            joined = list(map(cli._union, nu_grid_reports(m), (
+                erkn.check_symmetry(m, stretch), erkn.check_symplecticity(m, stretch))))
+            assert joined == [erkn.check_symmetry(m, grid), erkn.check_symplecticity(m, grid)]
+    grid = _check_grid(23.0)
+    report = erkn.check_symmetry(drifting[0], grid)
+    assert nu_grid_reports(drifting[0])[0].passed and not report.passed
+    with pytest.raises(erkn.NonSymmetricMethod,
+                       match=f"^symmetry residual {report.max_residual:.3e} exceeds "):
+        erkn.upsilon_from(drifting[0], grid)
+    assert nu_grid_reports.cache_info().maxsize == len(METHODS)
 
 
 def test_a_method_without_a_kick_filter_is_named_once(tmp_path, capsys):
     """A `trig:` name whose method has no kick filter is refused in one line
     that names it once; `check` names the base method in its report."""
     for name, reason in [
-        ("trig:ERKN1", "filter expressions b/cos(nu/2) and 2*bbar/sinc(nu/2) disagree by "),
+        ("trig:ERKN1", "symmetry residual 1.183e-01 exceeds 1e-12 on the grid"),
         ("trig:ERKN5", "the kick filter needs c1 = 1/2, got c1 = 0.4"),
     ]:
         assert main(["run", "--method", name, "-o", str(tmp_path / "x.csv")]) == EXIT_USAGE
@@ -324,7 +350,7 @@ def test_a_method_without_a_kick_filter_is_named_once(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
     assert main(["check", "ERKN1"]) == EXIT_OK
     text = capsys.readouterr().out
-    assert "kick filter: InconsistentFilter: ERKN1: filter expressions " in text
+    assert "kick filter: NonSymmetricMethod: ERKN1: symmetry residual 1.183e-01 " in text
 
 
 def test_prepare_resolves_each_method_name_once(tmp_path, monkeypatch):
@@ -459,6 +485,9 @@ INVALID_NUMBERS = [
     ("sweep", ["--methods", "ERKN1,ERKN2,ERKN3,ERKN4,ERKN5,ERKN6,trig:ERKN2,trig:ERKN3,trig:ERKN4",
                "--hs", "0.1,0.01", "--omegas", "50,200", "--t-end", "999999.99", "--stride", "1"]),
     ("run", ["--method", "trig:ERKN3", "--h", "0.1", "--omega", "31.41592653589793"]),
+    # omega^2 overflows in the start's oscillatory energy: every energy would read nan
+    ("run", ["--method", "ERKN2", "--omega", "1e155", "--h", "1e-5", "--t-end", "1e-4"]),
+    ("sweep", ["--methods", "ERKN2", "--hs", "1e-5", "--omegas", "50,1e155", "--t-end", "1e-4"]),
     ("sweep", ["--methods", "trig:ERKN3", "--hs", "0.1", "--omegas", "31.41592653589793"]),
     ("sweep", ["--methods", "ERKN2", "--hs", "nan", "--omegas", "50"]),
     ("sweep", ["--methods", "ERKN2", "--hs", "0.1", "--omegas", "-1"]),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erkn import (
     METHODS,
@@ -18,6 +20,7 @@ from erkn import (
     hamiltonian,
     sinc,
     stepper,
+    symplectic,
 )
 
 SYMMETRIC = ("ERKN2", "ERKN3", "ERKN4")
@@ -178,3 +181,44 @@ def test_default_grid():
     assert len(NU_GRID) == 101
     assert NU_GRID[0] == 0.0
     assert NU_GRID[-1] == pytest.approx(10.0)
+
+
+FAMILY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+
+@FAMILY
+@given(st.one_of(st.just(0.5), st.floats(0.05, 0.95)), st.floats(0.5, 2.0))
+def test_every_member_of_the_symplectic_family_is_symplectic(c1, d1):
+    """`symplectic(name, c1, d1)` passes `check_symplecticity` with residual
+    exactly 0 and d1 recovered; it is symmetric only at c1 = 1/2."""
+    m = symplectic("s", c1, d1)
+    rep = check_symplecticity(m)
+    assert rep.passed and rep.max_residual == 0.0 and rep.d1 == d1
+    assert check_symmetry(m).passed == (c1 == 0.5), c1
+
+
+# ERKN2, ERKN5 and ERKN6 as the registry wrote them before they became
+# `symplectic` members: test-only oracles of their (bbar, b) bits.
+WRITTEN_OUT = {
+    "ERKN2": (lambda nu: 0.5 * sinc(0.5 * nu), lambda nu: math.cos(0.5 * nu)),
+    "ERKN5": (lambda nu: 0.6 * sinc(0.6 * nu), lambda nu: math.cos(0.6 * nu)),
+    "ERKN6": (lambda nu: 0.8 * sinc(0.8 * nu), lambda nu: math.cos(0.8 * nu)),
+}
+
+
+def assert_written_out_bits(nus) -> None:
+    for name, (bbar, b) in WRITTEN_OUT.items():
+        m = METHODS[name]
+        for nu in nus:
+            got, want = (m.bbar(nu), m.b(nu)), (bbar(nu), b(nu))
+            assert [x.hex() for x in got] == [x.hex() for x in want], (name, nu)
+
+
+def test_the_symplectic_registry_members_keep_their_bits():
+    assert_written_out_bits([40.0 * k / 4000 for k in range(4001)])
+
+
+@FAMILY
+@given(st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=100))
+def test_the_symplectic_registry_members_keep_their_bits_at_drawn_nu(nus):
+    assert_written_out_bits(nus)

@@ -32,6 +32,7 @@ from erkn import (
     linear_system,
     stepper,
     strang_lnl_step,
+    symplectic,
     trig_method_from,
     trig_step_composed,
     trig_stepper,
@@ -98,6 +99,17 @@ def test_symmetric_methods_are_their_own_adjoint(h, omega, dq, dp):
     for name in SYMMETRIC:
         defect = adjoint_defect(METHODS[name], sys, h, s)
         assert defect <= ADJOINT_TOL, (name, defect)
+
+
+@PROPERTY
+@given(st.one_of(st.floats(0.05, 0.45), st.floats(0.55, 0.95)))
+def test_the_symplectic_family_is_its_own_adjoint_only_at_one_half(c1):
+    """At FPU m = 3, omega = 50 and h = 0.1 from the benchmark start, the
+    adjoint defect of `symplectic(c1)` is roundoff at c1 = 1/2 and at least
+    1e-3 for |c1 - 1/2| >= 0.05."""
+    sys = fpu_system(M, 50.0)
+    assert adjoint_defect(symplectic("half", 0.5), sys, 0.1, sys.initial) <= 1e-14
+    assert adjoint_defect(symplectic("s", c1), sys, 0.1, sys.initial) >= 1e-3, c1
 
 
 @PROPERTY

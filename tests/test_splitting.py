@@ -1,18 +1,23 @@
 """Splitting flows, the kick filter, and the conjugate trigonometric scheme."""
 
 import dataclasses
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erkn import (
     METHODS,
-    InconsistentFilter,
+    NU_GRID,
     NonSymmetricMethod,
     Partition,
     ResonantStepsize,
     State,
+    check_symmetry,
     conjugacy_check,
     erkn_step,
     flow_kick,
@@ -27,6 +32,8 @@ from erkn import (
     trig_stepper,
     upsilon_from,
 )
+from erkn.cli import _check_grid, cmd_check
+from erkn.methods import nu_grid_reports
 
 SYMMETRIC = ("ERKN2", "ERKN3", "ERKN4")
 
@@ -106,11 +113,64 @@ def test_filter_identities():
 
 
 def test_filter_rejects_unsuitable_methods():
-    with pytest.raises(InconsistentFilter):
+    """ERKN1 fails the symmetry relation and is refused with its residual;
+    ERKN5 and ERKN6 are refused for their node, which is tested first."""
+    residual = check_symmetry(METHODS["ERKN1"]).max_residual
+    with pytest.raises(NonSymmetricMethod,
+                       match=f"^symmetry residual {residual:.3e} exceeds 1e-12 on the grid$"):
         upsilon_from(METHODS["ERKN1"])
     for name in ("ERKN5", "ERKN6"):
-        with pytest.raises(NonSymmetricMethod):
+        with pytest.raises(NonSymmetricMethod, match="^the kick filter needs c1 = 1/2, got c1 = "):
             upsilon_from(METHODS[name])
+
+
+def test_the_default_grid_is_scanned_once_per_method(fpu3):
+    """The NU_GRID report is memoised per method (`nu_grid_reports`, which
+    `check` reads too): a second `upsilon_from` makes no grid scan, and
+    neither do the trig scheme, the Strang step and the conjugacy check."""
+    calls = []
+    erkn2 = METHODS["ERKN2"]
+    m = dataclasses.replace(erkn2, name="counted",
+                            b=lambda nu: calls.append(nu) or erkn2.b(nu))
+    upsilon_from(m)
+    assert len(calls) > len(NU_GRID)  # the first call scans the grid, twice
+    calls.clear()
+    ups = upsilon_from(m)
+    trig_method_from(m)
+    strang_lnl_step(m, fpu3, 0.1, fpu3.initial)
+    conjugacy_check(m, fpu3, 0.1, fpu3.initial, 2)
+    assert set(calls) == {0.0, 0.1 * fpu3.partition.omega}  # the two blocks' nu only
+    calls.clear()
+    assert ups(1.0) == erkn2.b(1.0) / math.cos(0.5) and calls == [1.0]
+    assert nu_grid_reports.cache_info().maxsize == len(METHODS)
+
+
+def perturbed_erkn2(eps: float, freq: float, phase: float):
+    """ERKN2 with b scaled by 1 + eps g(nu), g(nu) = cos(freq nu + phase)."""
+    erkn2 = METHODS["ERKN2"]
+    return dataclasses.replace(
+        erkn2, name="perturbed", b=lambda nu: erkn2.b(nu) * (1.0 + eps * math.cos(freq * nu + phase)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.just(0.0), st.floats(1e-10, 1.0)), st.floats(0.0, 3.0),
+       st.floats(0.0, 2.0 * math.pi), st.floats(10.0, 200.0, exclude_min=True))
+def test_the_kick_filter_exists_exactly_when_the_method_is_symmetric(eps, freq, phase, nu):
+    """On NU_GRID and on `check`'s grid to nu, `upsilon_from` returns exactly
+    when `check_symmetry` passes, and `check`'s kick-filter line says what
+    `upsilon_from` does on the whole check grid."""
+    m = perturbed_erkn2(eps, freq, phase)
+    for grid in (NU_GRID, _check_grid(nu)):
+        try:
+            ups = upsilon_from(m, grid)
+            line = f"kick filter: available (Upsilon(0) = {ups(0.0):g})"
+        except NonSymmetricMethod as exc:
+            ups, line = None, f"kick filter: NonSymmetricMethod: perturbed: {exc}"
+        assert (ups is not None) == check_symmetry(m, grid).passed, (grid[-1], eps)
+    buf = io.StringIO()
+    with mock.patch.dict(METHODS, perturbed=m):
+        assert cmd_check("perturbed", h=1.0, omega=nu, out=buf) == 0
+    assert line in buf.getvalue().splitlines()
 
 
 def test_filter_inconsistency_size():
