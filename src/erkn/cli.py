@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .methods import METHODS, NU_GRID, check_symmetry, check_symplecticity, nu_grid_reports
+from .methods import METHODS, NU_GRID, nu_grid_reports, structure_reports
 from .splitting import NonSymmetricMethod, filter_refusal, trig_method_from
 from .systems import Partition, energies, fpu_system, linear_system
 from . import verify
@@ -221,7 +221,7 @@ def _check_grid(nu: float) -> list[float]:
     (10, nu] when the operating point nu lies beyond it; the last point is nu
     itself, and the cost stays bounded however large h*omega is."""
     n = min(1000, math.ceil(10.0 * (nu - 10.0)))
-    return [*NU_GRID, *(nu - (nu - 10.0) * (n - k) / n for k in range(1, n + 1))]
+    return [*NU_GRID, *(nu - (nu - 10.0) * np.arange(n - 1, -1, -1) / n).tolist()]
 
 
 def cmd_check(
@@ -245,9 +245,9 @@ def cmd_check(
         print("error: need finite numbers with h > 0, omega >= 0 and c > 0", file=err)
         return EXIT_USAGE
     m = METHODS[method]
-    stretch = _check_grid(h * omega)[len(NU_GRID):]
-    sym, sp = map(_union, nu_grid_reports(m),
-                  (check_symmetry(m, stretch), check_symplecticity(m, stretch)))
+    stretch, (sym, sp) = _check_grid(h * omega)[len(NU_GRID):], nu_grid_reports(m)
+    if stretch:
+        sym, sp = map(_union, (sym, sp), structure_reports(m, stretch))
     print(f"method {m.name}: c1 = {m.c1:g}", file=out)
     print(
         f"symmetric: {'pass' if sym.passed else 'fail'} "

@@ -40,12 +40,11 @@ class ErknMethod:
     b: Callable[[float], float]
 
     def coefficients(self, part: Partition, h: float) -> Coefficients:
-        """The step-map diagonals of this method at step h."""
-        nu = h * part.omega
-        stage_cos, stage_hsinc, _ = rotation(part, h, self.c1)
-        return Coefficients(*rotation(part, h), stage_cos, stage_hsinc,
-                            (h * h) * block_expand(self.bbar, part, nu),
-                            h * block_expand(self.b, part, nu))
+        """The step-map diagonals of this method at step h, from one expansion."""
+        stage_cos, stage_hsinc, _ = _turns(part.omega, h, self.c1)
+        return Coefficients(*block_expand(
+            part, h * part.omega, *_turns(part.omega, h), stage_cos, stage_hsinc,
+            lambda nu: h * h * self.bbar(nu), lambda nu: h * self.b(nu)))
 
 
 def symplectic(name: str, c1: float, d1: float = 1.0) -> ErknMethod:
@@ -81,19 +80,18 @@ METHODS: dict[str, ErknMethod] = {m.name: m for m in (
 )}
 
 
-def rotation(
-    part: Partition, h: float, c: float = 1.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonals of the exact force-free flow over time c*h (h may be negative):
-    cos(c*h*Omega), c*h sinc(c*h*Omega) and Omega sin(c*h*Omega). The stage
-    node c multiplies nu = h*omega, not h, so the stage argument is c1 * nu."""
-    nu = c * (h * part.omega)
+def _turns(omega: float, h: float, c: float = 1.0) -> tuple[Callable[[float], float], ...]:
+    """cos(c nu), c*h sinc(c nu) and omega sin(c nu) as functions of nu = h*omega:
+    the node c multiplies nu, not h, so a stage argument is c1 * nu."""
     ch = c * h
-    return (
-        block_expand(math.cos, part, nu),
-        block_expand(lambda x: ch * sinc(x), part, nu),
-        block_expand(lambda x: part.omega * math.sin(x), part, nu),
-    )
+    return (lambda nu: math.cos(c * nu), lambda nu: ch * sinc(c * nu),
+            lambda nu: omega * math.sin(c * nu))
+
+
+def rotation(part: Partition, h: float, c: float = 1.0) -> np.ndarray:
+    """Diagonals of the exact force-free flow over time c*h (h may be negative),
+    the rows cos(c*h*Omega), c*h sinc(c*h*Omega) and Omega sin(c*h*Omega)."""
+    return block_expand(part, h * part.omega, *_turns(part.omega, h, c))
 
 
 class Coefficients(NamedTuple):
@@ -225,45 +223,47 @@ class SymplecticityReport:
     max_residual: float
 
 
-def check_symmetry(
-    m: ErknMethod, grid: Sequence[float] = NU_GRID, tol: float = COEFF_TOL
-) -> SymmetryReport:
+def structure_reports(m: ErknMethod, grid: Sequence[float] = NU_GRID, tol: float = COEFF_TOL
+                      ) -> tuple[SymmetryReport, SymplecticityReport]:
+    """`check_symmetry` and `check_symplecticity` of m on the grid, from one
+    evaluation of the weights per point; the residuals are formed on arrays
+    (elementwise, so with the bits of a scalar loop) and a nan one is skipped."""
+    b0 = m.b(0.0)
+    ref = symplectic(m.name, m.c1, b0)
+    b, bbar, ref_b, ref_bbar, cos, sn = (np.fromiter(map(f, grid), float, len(grid))
+                                         for f in (m.b, m.bbar, ref.b, ref.bbar, math.cos, sinc))
+    with np.errstate(invalid="ignore", over="ignore"):
+        rb, rbb = np.abs(b - ref_b), np.abs(bbar - ref_bbar)
+        sym, sp = (float(np.max(r, initial=first, where=~np.isnan(r))) for first, r in (
+            (abs(2.0 * m.bbar(0.0) - b0), np.abs((1.0 + cos) * bbar - sn * b)),
+            (0.0, np.where(rb > rbb, rb, rbb))))  # a nan first stays, as r > nan is false
+    return (SymmetryReport(m.c1 == 0.5 and sym <= tol, sym),
+            SymplecticityReport(sp <= tol, b0, sp))
+
+
+def check_symmetry(m: ErknMethod, grid: Sequence[float] = NU_GRID,
+                   tol: float = COEFF_TOL) -> SymmetryReport:
     """Exact-coefficient symmetry test.
 
     Passes iff c1 = 1/2 and (1 + cos nu) bbar(nu) = sinc(nu) b(nu) on the
     grid; nu = 0 is always included.
     """
-    worst = abs(2.0 * m.bbar(0.0) - m.b(0.0))
-    for nu in grid:
-        r = abs((1.0 + math.cos(nu)) * m.bbar(nu) - sinc(nu) * m.b(nu))
-        if r > worst:
-            worst = r
-    return SymmetryReport(m.c1 == 0.5 and worst <= tol, worst)
+    return structure_reports(m, grid, tol)[0]
 
 
-def check_symplecticity(
-    m: ErknMethod, grid: Sequence[float] = NU_GRID, tol: float = COEFF_TOL
-) -> SymplecticityReport:
+def check_symplecticity(m: ErknMethod, grid: Sequence[float] = NU_GRID,
+                        tol: float = COEFF_TOL) -> SymplecticityReport:
     """Exact-coefficient symplecticity test.
 
     The constant d1 is pinned at nu = 0 (where the cosine factor is 1);
     passes iff m's weights equal those of `symplectic(m.name, m.c1, d1)` on
     the grid.
     """
-    d1 = m.b(0.0)
-    ref = symplectic(m.name, m.c1, d1)
-    worst = 0.0
-    for nu in grid:
-        rb = abs(m.b(nu) - ref.b(nu))
-        rbb = abs(m.bbar(nu) - ref.bbar(nu))
-        r = rb if rb > rbb else rbb
-        if r > worst:
-            worst = r
-    return SymplecticityReport(worst <= tol, d1, worst)
+    return structure_reports(m, grid, tol)[1]
 
 
 @functools.lru_cache(maxsize=len(METHODS))
 def nu_grid_reports(m: ErknMethod) -> tuple[SymmetryReport, SymplecticityReport]:
-    """`check_symmetry` and `check_symplecticity` of m on NU_GRID, scanned once
-    per method (the last len(METHODS) methods asked for are kept)."""
-    return check_symmetry(m), check_symplecticity(m)
+    """`structure_reports` of m on NU_GRID, scanned once per method (the last
+    len(METHODS) methods asked for are kept)."""
+    return structure_reports(m)

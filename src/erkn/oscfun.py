@@ -33,9 +33,8 @@ def sinc(x: float) -> float:
     return math.sin(ax) / ax
 
 
-def block_expand(f: Callable[[float], float], part: Partition, nu: float) -> np.ndarray:
-    """Diagonal of f(h*Omega) at nu = h*omega: f(0) on the slow block and
-    f(nu) on the fast one, expanded for repeated elementwise use."""
-    out = np.full(part.dim, f(nu))
-    out[: part.d1] = f(0.0)
-    return out
+def block_expand(part: Partition, nu: float, *fs: Callable[[float], float]) -> np.ndarray:
+    """Diagonals of f(h*Omega) at nu = h*omega, one row per f in fs: f(0) on
+    the slow block and f(nu) on the fast one, from one expansion of the pairs."""
+    pairs = np.array([(f(0.0), f(nu)) for f in fs], dtype=float)
+    return np.repeat(pairs, (part.d1, part.d2), axis=1)

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .methods import (COEFF_TOL, NU_GRID, Coefficients, ErknMethod, SymmetryReport,
-                      check_symmetry, erkn_step, nu_grid_reports, rotation, stepper)
+                      check_symmetry, erkn_step, nu_grid_reports, rotation, step_map, stepper)
 from .oscfun import block_expand
 from .systems import Partition, State, System
 
@@ -34,10 +34,28 @@ class ResonantStepsize(ValueError):
 FILTER_POLE_TOL = 1e-8
 
 
+# The flows on (q, p) arrays z, from the diagonals built once: r = `rotation`
+# over the flow's time and u = the filter at the outer step's nu.
+def _rotate(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    (c, hs, osn), (q, p) = r, z
+    return np.array((c * q + hs * p, c * p - osn * q))
+
+
+def _kick(force: Callable[[np.ndarray], np.ndarray], u: np.ndarray, h: float,
+          z: np.ndarray) -> np.ndarray:
+    q, p = z  # p += h * u g(q)
+    return np.array((q, p + h * (u * force(q))))
+
+
+def _composed(force: Callable[[np.ndarray], np.ndarray], r: np.ndarray, u: np.ndarray,
+              h: float, z: np.ndarray) -> np.ndarray:
+    """kick(h/2) . rotate(h) . kick(h/2), with r the rotation over h."""
+    return _kick(force, u, 0.5 * h, _rotate(r, _kick(force, u, 0.5 * h, z)))
+
+
 def flow_linear(part: Partition, h: float, s: State) -> State:
     """Exact flow of the force-free problem for time h (h may be negative)."""
-    c, hs, osn = rotation(part, h)
-    return State(c * s.q + hs * s.p, c * s.p - osn * s.q)
+    return State.of(_rotate(rotation(part, h), s.z))
 
 
 def flow_kick(
@@ -53,10 +71,8 @@ def flow_kick(
     compositions pass the outer step's value when kicking with h/2.
     """
     part = sys.partition
-    if nu is None:
-        nu = h * part.omega
-    u = block_expand(upsilon, part, nu)
-    return State(s.q, s.p + h * (u * sys.force(s.q)))
+    u, = block_expand(part, h * part.omega if nu is None else nu, upsilon)
+    return State.of(_kick(sys.force, u, h, s.z))
 
 
 def filter_refusal(m: ErknMethod, sym: SymmetryReport) -> Optional[NonSymmetricMethod]:
@@ -107,11 +123,9 @@ def strang_lnl_step(
     Identical to erkn_step for symmetric methods, up to roundoff. Pass a
     prevalidated `upsilon` to skip re-extraction in loops.
     """
-    part = sys.partition
-    ups = upsilon_from(m) if upsilon is None else upsilon
-    a = flow_linear(part, 0.5 * h, s)
-    b = flow_kick(sys, ups, h, a)  # the full kick: its nu is h*omega
-    return flow_linear(part, 0.5 * h, b)
+    part, ups = sys.partition, upsilon_from(m) if upsilon is None else upsilon
+    (u,), half = block_expand(part, h * part.omega, ups), rotation(part, 0.5 * h)
+    return State.of(_rotate(half, _kick(sys.force, u, h, _rotate(half, s.z))))
 
 
 @dataclass(frozen=True)
@@ -145,10 +159,8 @@ trig_step = erkn_step
 def trig_step_composed(tm: TrigMethod, sys: System, h: float, s: State) -> State:
     """The same map assembled as kick(h/2) . rotate(h) . kick(h/2)."""
     part = sys.partition
-    nu = h * part.omega
-    a = flow_kick(sys, tm.upsilon, 0.5 * h, s, nu=nu)
-    b = flow_linear(part, h, a)
-    return flow_kick(sys, tm.upsilon, 0.5 * h, b, nu=nu)
+    u, = block_expand(part, h * part.omega, tm.upsilon)
+    return State.of(_composed(sys.force, rotation(part, h), u, h, s.z))
 
 
 @dataclass(frozen=True)
@@ -160,8 +172,8 @@ class ConjugacyReport:
     deviation_interior: float
 
 
-def _state_dev(a: State, b: State) -> float:
-    return float(np.max(np.abs(a.z - b.z)))
+def _state_dev(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
 
 
 def conjugacy_check(m: ErknMethod, sys: System, h: float, s: State, n: int) -> ConjugacyReport:
@@ -177,23 +189,20 @@ def conjugacy_check(m: ErknMethod, sys: System, h: float, s: State, n: int) -> C
         raise ValueError("need n >= 1")
     part = sys.partition
     part.check_state(s)
-    nu = h * part.omega
-    tm = TrigMethod(m.name, upsilon_from(m))
-    step = stepper(m, sys, h)
+    force, full = sys.force, rotation(part, h)
+    half, back = rotation(part, 0.5 * h), rotation(part, -0.5 * h)
+    u, = block_expand(part, h * part.omega, upsilon_from(m))
 
-    ref = s
+    ref = s.z.copy()  # the kernel's buffer (no kick row: m is one-stage)
+    step = step_map(force, m.coefficients(part, h), ref)
     for _ in range(n):
-        ref = step(ref)
+        step()
 
-    def kick(x: State, hh: float) -> State:
-        return flow_kick(sys, tm.upsilon, hh, x, nu=nu)
-
-    inner = kick(flow_linear(part, 0.5 * h, s), 0.5 * h)
+    inner = _kick(force, u, 0.5 * h, _rotate(half, s.z))
     for _ in range(n - 1):
-        inner = trig_step_composed(tm, sys, h, inner)
-    interior = flow_linear(part, 0.5 * h, kick(inner, 0.5 * h))
-    shifted = flow_linear(part, -0.5 * h, kick(trig_step_composed(tm, sys, h, inner), -0.5 * h))
+        inner = _composed(force, full, u, h, inner)
+    interior = _rotate(half, _kick(force, u, 0.5 * h, inner))
+    shifted = _rotate(back, _kick(force, u, -0.5 * h, _composed(force, full, u, h, inner)))
 
-    dev_interior = _state_dev(ref, interior)
-    dev_shifted = _state_dev(ref, shifted)
+    dev_interior, dev_shifted = _state_dev(ref, interior), _state_dev(ref, shifted)
     return ConjugacyReport(max(dev_interior, dev_shifted), dev_shifted, dev_interior)

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .methods import Coefficients, ErknMethod, lift, step_map, stepper
+# stepper, trig_stepper (another name for it), hamiltonian and oscillatory_energy
+# stay attributes of this module, where perfbench's tracer wraps them
+from .methods import Coefficients, ErknMethod, lift, step_map, stepper  # noqa: F401
 from .oscfun import sinc
-# trig_stepper (another name for stepper), hamiltonian and oscillatory_energy stay
-# attributes of this module, where perfbench's tracer wraps them
 from .splitting import TrigMethod, _state_dev, trig_stepper  # noqa: F401
 from .systems import State, System, energies, hamiltonian, oscillatory_energy  # noqa: F401
 
@@ -45,43 +45,59 @@ class DefectReport:
 
 
 Method = Union[ErknMethod, TrigMethod]
+FD_EPS = 1e-5  # the central-difference step of `symplecticity_defect`
+
+
+def _advance(force: Callable[[np.ndarray], np.ndarray], c: Coefficients,
+             z: np.ndarray) -> np.ndarray:
+    """(q, p) one step on from z, (2, dim) or (2, dim, B), in a fresh array."""
+    z = lift(force, c, z) if c.kick is not None else z.copy()
+    step_map(force, c, z)()
+    return z[:2]
+
+
+def _adjoint_defect(sys: System, fwd: Coefficients, bwd: Coefficients, s: State) -> float:
+    return _state_dev(_advance(sys.force, bwd, _advance(sys.force, fwd, s.z)), s.z)
+
 
 def adjoint_defect(m: Method, sys: System, h: float, s: State) -> float:
     """Sup-norm of step(-h)(step(h)(s)) - s; zero for a symmetric map."""
-    sys.partition.check_state(s)
-    fwd = stepper(m, sys, h)
-    bwd = stepper(m, sys, -h)
-    return _state_dev(bwd(fwd(s)), s)
-
-
-def symplecticity_defect(
-    m: Method, sys: System, h: float, s: State, fd_eps: float = 1e-5
-) -> float:
-    """max |M^T J M - J| for the step Jacobian M by central differences."""
-    if not (math.isfinite(fd_eps) and fd_eps > 0.0):
-        raise ValueError("fd_eps must be finite and > 0")
     part = sys.partition
     part.check_state(s)
-    d = part.dim
-    coefs = Coefficients.columns([m.coefficients(part, h)])  # one column, broadcast
+    return _adjoint_defect(sys, m.coefficients(part, h), m.coefficients(part, -h), s)
+
+
+def _symplecticity_defect(sys: System, c: Coefficients, s: State, fd_eps: float) -> float:
+    d = sys.partition.dim
     # one step of 4*dim perturbed states: (q, p) + fd_eps e_j in column j, then - fd_eps e_j
     eye = np.eye(2 * d)
     block = (s.z.reshape(2 * d, 1) + fd_eps * np.hstack((eye, -eye))).reshape(2, d, 4 * d)
-    z = lift(sys.force, coefs, block)  # the kernel's buffer: a fresh array
-    step_map(sys.force, coefs, z)()
-    jac = (z[:2, :, : 2 * d] - z[:2, :, 2 * d :]).reshape(2 * d, 2 * d) / (2.0 * fd_eps)
-    jj = np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
+    column = c._make(None if x is None else x[:, None] for x in c)  # broadcast over the block
+    y = _advance(sys.force, column, block)
+    jac = (y[:, :, : 2 * d] - y[:, :, 2 * d :]).reshape(2 * d, 2 * d) / (2.0 * fd_eps)
+    jj = np.zeros((2 * d, 2 * d))
+    jj[:d, d:], jj[d:, :d] = eye[:d, :d], -eye[:d, :d]
     return float(np.max(np.abs(jac.T @ jj @ jac - jj)))
 
 
+def symplecticity_defect(m: Method, sys: System, h: float, s: State,
+                         fd_eps: float = FD_EPS) -> float:
+    """max |M^T J M - J| for the step Jacobian M by central differences."""
+    if not (math.isfinite(fd_eps) and fd_eps > 0.0):
+        raise ValueError("fd_eps must be finite and > 0")
+    sys.partition.check_state(s)
+    return _symplecticity_defect(sys, m.coefficients(sys.partition, h), s, fd_eps)
+
+
 def structure_defects(m: Method, sys: System, h: float, s: State) -> list[DefectReport]:
-    """Both probes bundled for reporting."""
-    ctx = sys.label
+    """Both probes bundled for reporting; they share the step-h coefficients."""
+    part, ctx = sys.partition, sys.label
+    part.check_state(s)
+    fwd = m.coefficients(part, h)
     return [
-        DefectReport(m.name, "adjoint", adjoint_defect(m, sys, h, s), h, ctx),
-        DefectReport(
-            m.name, "symplecticity", symplecticity_defect(m, sys, h, s), h, ctx
-        ),
+        DefectReport(m.name, "adjoint",
+                     _adjoint_defect(sys, fwd, m.coefficients(part, -h), s), h, ctx),
+        DefectReport(m.name, "symplecticity", _symplecticity_defect(sys, fwd, s, FD_EPS), h, ctx),
     ]
 
 
@@ -197,8 +213,9 @@ def drift_coefficients(
     method: Method, sys: System, h: float, t_end: float, stride: int = 1
 ) -> Coefficients:
     """The step-map diagonals of a drift series, after checking its arguments,
-    so a caller can reject a run before it starts. Raises ValueError (and, for
-    a kick-first scheme with h*omega on a filter pole, ResonantStepsize)."""
+    so a caller can reject a run before it starts. Raises ValueError (for a nan
+    or inf in the start too, naming the system; for a kick-first scheme with
+    h*omega on a filter pole, ResonantStepsize)."""
     if not (0.0 < h <= t_end and math.isfinite(t_end / h)):  # round(t_end/h) steps
         raise ValueError("need 0 < h <= t_end with t_end and t_end/h finite")
     if stride < 1:
@@ -208,6 +225,8 @@ def drift_coefficients(
     if sys.initial is None:
         raise ValueError(f"system {sys.label!r} has no designated initial state")
     sys.partition.check_state(sys.initial)
+    if not np.isfinite(sys.initial.z).all():
+        raise ValueError(f"system {sys.label!r} has a non-finite initial state")
     return method.coefficients(sys.partition, h)
 
 
@@ -250,7 +269,8 @@ def drift_engine(
     keeps its samples before that step and a message that says where, and
     its column is set to zero, a state that the built-in problems keep at zero.
     Returns per cell a (k, 5) array of (t, H, I, dH, dI) per sample and None,
-    or for a cell that blew up its finite prefix and the message.
+    or for a cell that blew up its finite prefix and the message; a finite
+    start whose energies overflow runs, with the inf and nan energies it gives.
     """
     methods, systems, coefs = zip(*cells)
     first, n = systems[0], int(round(t_end / h))
@@ -317,8 +337,9 @@ def drift_series(
     the drift engine with one cell.
 
     Runs n = round(t_end/h) steps and returns the (t, H, I, dH, dI) rows of
-    step 0, every stride-th step and the final step. Raises NonFiniteState
-    (carrying the finite prefix's rows) if the trajectory blows up.
+    step 0, every stride-th step and the final step: from a finite start whose
+    energies overflow too. Raises ValueError for a nan or inf in the start and
+    NonFiniteState (carrying the finite prefix's rows) if the trajectory blows up.
     """
     cell = (method, sys, drift_coefficients(method, sys, h, t_end, stride))
     rows, blowup = drift_engine([cell], h, t_end, stride)[0]

@@ -93,8 +93,11 @@ def test_phi_series_rejects_bad_arguments():
 
 def test_block_expand_layout():
     part = Partition(d1=2, d2=3, omega=4.0)
-    arr = block_expand(lambda nu: 1.5 - 0.5 * nu, part, 7.0)  # f(0) slow, f(nu) fast
-    np.testing.assert_array_equal(arr, [1.5, 1.5, -2.0, -2.0, -2.0])
+    arr = block_expand(part, 7.0, lambda nu: 1.5 - 0.5 * nu)  # f(0) slow, f(nu) fast
+    np.testing.assert_array_equal(arr, [[1.5, 1.5, -2.0, -2.0, -2.0]])
+    # one row per function, in order
+    arr = block_expand(part, 7.0, lambda nu: 1.5 - 0.5 * nu, lambda nu: nu)
+    np.testing.assert_array_equal(arr, [[1.5, 1.5, -2.0, -2.0, -2.0], [0, 0, 7, 7, 7]])
     # an empty slow block leaves only the fast value
-    arr = block_expand(lambda nu: 1.5 - 0.5 * nu, Partition(d1=0, d2=2, omega=4.0), 7.0)
-    np.testing.assert_array_equal(arr, [-2.0, -2.0])
+    arr = block_expand(Partition(d1=0, d2=2, omega=4.0), 7.0, lambda nu: 1.5 - 0.5 * nu)
+    np.testing.assert_array_equal(arr, [[-2.0, -2.0]])

@@ -22,6 +22,7 @@ from erkn import (
     drift_stats,
     fpu_system,
     hamiltonian,
+    linear_system,
     non_resonance_max_N,
     oscillatory_energy,
     sigma,
@@ -217,6 +218,30 @@ def test_a_start_of_the_wrong_size_is_refused_before_any_step(fpu3):
         with pytest.raises(ValueError, match="state does not match system partition"):
             drift_series(method, short, 0.1, 1.0)
     assert calls == []
+
+
+def test_a_nan_start_is_refused_before_any_step():
+    """A nan entry in the start was reported as a blow-up at step 1; it is an
+    invalid start, refused with the system's name before the force is called."""
+    calls = []
+    lattice = fpu_system(3, 50.0)
+    nan_start = dataclasses.replace(
+        lattice, initial=State([math.nan, 0, 0, 0.02, 0, 0], [1, 0, 0, 1, 0, 0]),
+        force=lambda q: calls.append(q) or lattice.force(q))
+    for method in (METHODS["ERKN2"], trig_method_from(METHODS["ERKN2"])):
+        with pytest.raises(ValueError, match=r"'fpu\(m=3, omega=50\)' has a non-finite initial"):
+            drift_series(method, nan_start, 0.1, 1.0)
+    assert calls == []
+
+
+def test_an_inf_start_is_refused_before_any_step():
+    rotation = linear_system(Partition(1, 2, 4.0))
+    for q, p in (([0.0, math.inf, 0.0], [1.0, 0.0, 0.0]), ([0.0, 0.0, 0.0], [0.0, 0.0, -math.inf])):
+        inf_start = dataclasses.replace(rotation, initial=State(q, p))
+        with pytest.raises(ValueError, match=re.escape(f"{rotation.label!r} has a non-finite")):
+            drift_coefficients(METHODS["ERKN3"], inf_start, 0.1, 1.0)
+        with pytest.raises(ValueError, match="non-finite initial state"):
+            drift_series(METHODS["ERKN3"], inf_start, 0.1, 1.0)
 
 
 def test_drift_series_reports_blow_up():
