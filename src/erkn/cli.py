@@ -245,7 +245,8 @@ def cmd_check(
         print("error: need finite numbers with h > 0, omega >= 0 and c > 0", file=err)
         return EXIT_USAGE
     m = METHODS[method]
-    stretch, (sym, sp) = _check_grid(h * omega)[len(NU_GRID):], nu_grid_reports(m)
+    sym, sp = nu_grid_reports(m)
+    stretch = _check_grid(h * omega)[len(NU_GRID):]
     if stretch:
         sym, sp = map(_union, (sym, sp), structure_reports(m, stretch))
     print(f"method {m.name}: c1 = {m.c1:g}", file=out)

@@ -239,7 +239,7 @@ def sample_count(h: float, t_end: float, stride: int) -> int:
 # Samples one cell, or the cells of one sweep together, may take: their (t, H, I,
 # dH, dI) rows are 40 B each, 4 GB in all.
 MAX_SAMPLES = 10**8
-# Steps one cell may take: at about 17 us a step (one m = 3 cell on a Xeon core), two days.
+# Steps one cell may take: 1-2 days at 11-18 us a step (m = 3, stride 1, a shared Xeon core).
 MAX_STEPS = 10**10
 # Bytes of sampled states held before their energies are evaluated together.
 SAMPLE_BUFFER_BYTES = 1 << 16
