@@ -216,12 +216,12 @@ def _union(a, b):
                    max_residual=max(a.max_residual, b.max_residual))
 
 
-def _check_grid(nu: float) -> list[float]:
+def _check_grid(nu: float) -> np.ndarray:
     """NU_GRID (0 to 10), stretched by at most 1000 evenly spaced points on
     (10, nu] when the operating point nu lies beyond it; the last point is nu
     itself, and the cost stays bounded however large h*omega is."""
     n = min(1000, math.ceil(10.0 * (nu - 10.0)))
-    return [*NU_GRID, *(nu - (nu - 10.0) * np.arange(n - 1, -1, -1) / n).tolist()]
+    return np.concatenate((NU_GRID, nu - (nu - 10.0) * np.arange(n - 1, -1, -1) / n))
 
 
 def cmd_check(
@@ -247,7 +247,7 @@ def cmd_check(
     m = METHODS[method]
     sym, sp = nu_grid_reports(m)
     stretch = _check_grid(h * omega)[len(NU_GRID):]
-    if stretch:
+    if len(stretch):  # one pass of each weight over the stretch's array
         sym, sp = map(_union, (sym, sp), structure_reports(m, stretch))
     print(f"method {m.name}: c1 = {m.c1:g}", file=out)
     print(

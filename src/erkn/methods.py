@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .oscfun import block_expand, sinc
+from .oscfun import block_expand, cos, power, sinc
 from .systems import Partition, State, System
 
 # Default nu grid for the algebraic condition checkers: 0(0.1)10.
@@ -32,7 +32,9 @@ COEFF_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ErknMethod:
-    """Node and weight functions of a one-stage method."""
+    """Node and weight functions of a one-stage method. A weight takes a
+    float or an ndarray of nu (see `oscfun`); one that takes only floats is
+    evaluated point by point where a grid is scanned."""
 
     name: str
     c1: float
@@ -52,28 +54,28 @@ def symplectic(name: str, c1: float, d1: float = 1.0) -> ErknMethod:
     b(nu) = d1 cos((1-c1) nu) and bbar(nu) = d1 (1-c1) sinc((1-c1) nu)."""
     c2 = 1.0 - c1
     return ErknMethod(name, c1, bbar=lambda nu: d1 * c2 * sinc(c2 * nu),
-                      b=lambda nu: d1 * math.cos(c2 * nu))
+                      b=lambda nu: d1 * cos(c2 * nu))
 
 
 METHODS: dict[str, ErknMethod] = {m.name: m for m in (
     ErknMethod(
         "ERKN1",
         0.5,
-        bbar=lambda nu: 0.5 * sinc(0.5 * nu) ** 2,
-        b=lambda nu: math.cos(0.5 * nu),
+        bbar=lambda nu: 0.5 * power(sinc(0.5 * nu), 2),
+        b=lambda nu: cos(0.5 * nu),
     ),
     symplectic("ERKN2", 0.5),
     ErknMethod(
         "ERKN3",
         0.5,
-        bbar=lambda nu: 0.5 * sinc(nu) * math.cos(0.5 * nu),
-        b=lambda nu: math.cos(0.5 * nu) ** 3,
+        bbar=lambda nu: 0.5 * sinc(nu) * cos(0.5 * nu),
+        b=lambda nu: power(cos(0.5 * nu), 3),
     ),
     ErknMethod(
         "ERKN4",
         0.5,
-        bbar=lambda nu: 0.5 * sinc(0.5 * nu) ** 2,
-        b=lambda nu: sinc(0.5 * nu) * math.cos(0.5 * nu),
+        bbar=lambda nu: 0.5 * power(sinc(0.5 * nu), 2),
+        b=lambda nu: sinc(0.5 * nu) * cos(0.5 * nu),
     ),
     symplectic("ERKN5", 0.4),
     symplectic("ERKN6", 0.2),
@@ -119,6 +121,13 @@ class Coefficients(NamedTuple):
         return cls(*(x[0] if x[0] is None else np.stack(x, axis=-1) for x in zip(*coefs)))
 
 
+def bound_force(force: Callable[[np.ndarray], np.ndarray], q: np.ndarray,
+                out: np.ndarray) -> Callable[[], None]:
+    """A call that writes g(q) into out: the force's `bind` (see `fpu_system`),
+    or else a copy of its result."""
+    return force.bind(q, out) if hasattr(force, "bind") else lambda: np.copyto(out, force(q))
+
+
 def step_map(force: Callable[[np.ndarray], np.ndarray], c: Coefficients,
              z: np.ndarray) -> Callable[[], None]:
     """The step kernel bound to z = (q, p) stacked on axis 0; a call advances
@@ -131,7 +140,7 @@ def step_map(force: Callable[[np.ndarray], np.ndarray], c: Coefficients,
     z is (2, dim) for one state, or (2, dim, B) for a block of B states with
     coefficient columns to match; every sum is formed in the order written
     above. Views and work arrays are made once, here; g(Q) is written into
-    them by the force's `bind` (see `fpu_system`), or else copied.
+    them by `bound_force`.
 
     With kick set, z = (q, p, k) (see `lift`) carries the half kick k that
     closed the last step, and a step is that kick followed by the step above:
@@ -148,7 +157,7 @@ def step_map(force: Callable[[np.ndarray], np.ndarray], c: Coefficients,
     y = z[:2]
     (q, p), b, f = y, np.empty(y.shape), np.empty(y.shape[1:])
     b_q, b_p = b  # the stage point Q is formed in b_q
-    evaluate = force.bind(b_q, f) if hasattr(force, "bind") else lambda: np.copyto(f, force(b_q))
+    evaluate = bound_force(force, b_q, f)
     # row by row where rows mix or F broadcasts: ufuncs on same-shape operands cost half
     multiply, add = np.multiply, np.add  # the third argument is out
 
@@ -223,19 +232,34 @@ class SymplecticityReport:
     max_residual: float
 
 
+def _on_grid(f: Callable, nu: np.ndarray) -> np.ndarray:
+    """f on the grid array in one call, or point by point if f rejects arrays
+    (raises TypeError or ValueError, or returns no array of the grid's shape)."""
+    try:
+        y = f(nu)
+    except (TypeError, ValueError):
+        y = None
+    return y if isinstance(y, np.ndarray) and y.shape == nu.shape else \
+        np.fromiter(map(f, nu.tolist()), float, len(nu))
+
+
 def structure_reports(m: ErknMethod, grid: Sequence[float] = NU_GRID, tol: float = COEFF_TOL
                       ) -> tuple[SymmetryReport, SymplecticityReport]:
     """`check_symmetry` and `check_symplecticity` of m on the grid, from one
-    evaluation of the weights per point; the residuals are formed on arrays
-    (elementwise, so with the bits of a scalar loop) and a nan one is skipped."""
+    evaluation of each weight on the grid array (`_on_grid`); the residuals
+    are elementwise, so with the bits of a scalar loop, and a nan one is
+    skipped. A non-finite grid point is refused (ValueError)."""
+    nu = np.asarray(grid, dtype=float)
+    if not np.isfinite(nu).all():
+        raise ValueError(f"non-finite grid point nu = {nu[~np.isfinite(nu)][0]}")
     b0 = m.b(0.0)
     ref = symplectic(m.name, m.c1, b0)
-    b, bbar, ref_b, ref_bbar, cos, sn = (np.fromiter(map(f, grid), float, len(grid))
-                                         for f in (m.b, m.bbar, ref.b, ref.bbar, math.cos, sinc))
+    b, bbar, ref_b, ref_bbar, cosine, sn = (_on_grid(f, nu)
+                                            for f in (m.b, m.bbar, ref.b, ref.bbar, cos, sinc))
     with np.errstate(invalid="ignore", over="ignore"):
         rb, rbb = np.abs(b - ref_b), np.abs(bbar - ref_bbar)
         sym, sp = (float(np.max(r, initial=first, where=~np.isnan(r))) for first, r in (
-            (abs(2.0 * m.bbar(0.0) - b0), np.abs((1.0 + cos) * bbar - sn * b)),
+            (abs(2.0 * m.bbar(0.0) - b0), np.abs((1.0 + cosine) * bbar - sn * b)),
             (0.0, np.where(rb > rbb, rb, rbb))))  # a nan first stays, as r > nan is false
     return (SymmetryReport(m.c1 == 0.5 and sym <= tol, sym),
             SymplecticityReport(sp <= tol, b0, sp))

@@ -1,9 +1,13 @@
-"""Scalar trigonometric kernels and their blockwise use as matrix functions.
+"""Float-or-array trigonometric kernels and their blockwise use as matrix functions.
 
 The frequency matrix of the problem is Omega = diag(0, omega*I), so every
 matrix function f(h*Omega) that the integrators need reduces to exactly two
 scalar values: f(0) for the slow block and f(h*omega) for the fast one.
 Nothing in this package ever materializes a matrix.
+
+`sinc`, `cos` and `power` take a scalar (float, int or np.float64), evaluated
+by `math`, or an ndarray, by libm's functions through numpy in one call each,
+with the bits of its elements evaluated one by one.
 """
 
 from __future__ import annotations
@@ -20,17 +24,30 @@ from .systems import Partition
 _SINC_SWITCH = 1e-2
 
 
-def sinc(x: float) -> float:
+def sinc(x: float | np.ndarray) -> float | np.ndarray:
     """sin(x)/x, continued through x = 0.
 
     Evaluated on |x| so the result is even in x bit-for-bit; near zero a
     4-term Taylor polynomial replaces the quotient.
     """
     ax = abs(x)
-    if ax < _SINC_SWITCH:
-        x2 = ax * ax
-        return 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
-    return math.sin(ax) / ax
+    if not isinstance(x, np.ndarray) and ax >= _SINC_SWITCH:
+        return math.sin(ax) / ax
+    x2 = ax * ax
+    taylor = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
+    if isinstance(x, np.ndarray):
+        return np.divide(np.sin(ax), ax, out=taylor, where=ax >= _SINC_SWITCH)
+    return taylor
+
+
+def cos(x: float | np.ndarray) -> float | np.ndarray:
+    """cos(x), by `math` for a scalar and np.cos for an array."""
+    return np.cos(x) if isinstance(x, np.ndarray) else math.cos(x)
+
+
+def power(x: float | np.ndarray, k: int) -> float | np.ndarray:
+    """x ** k by libm's pow (np.power's bits depend on the SIMD level)."""
+    return np.float_power(x, k) if isinstance(x, np.ndarray) else x ** k
 
 
 def block_expand(part: Partition, nu: float, *fs: Callable[[float], float]) -> np.ndarray:

@@ -18,7 +18,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .methods import (COEFF_TOL, NU_GRID, Coefficients, ErknMethod, SymmetryReport,
-                      check_symmetry, erkn_step, nu_grid_reports, rotation, step_map, stepper)
+                      bound_force, check_symmetry, erkn_step, nu_grid_reports, rotation,
+                      step_map, stepper)
 from .oscfun import block_expand
 from .systems import Partition, State, System
 
@@ -34,28 +35,31 @@ class ResonantStepsize(ValueError):
 FILTER_POLE_TOL = 1e-8
 
 
-# The flows on (q, p) arrays z, from the diagonals built once: r = `rotation`
-# over the flow's time and u = the filter at the outer step's nu.
-def _rotate(r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    (c, hs, osn), (q, p) = r, z
-    return np.array((c * q + hs * p, c * p - osn * q))
-
-
-def _kick(force: Callable[[np.ndarray], np.ndarray], u: np.ndarray, h: float,
-          z: np.ndarray) -> np.ndarray:
-    q, p = z  # p += h * u g(q)
-    return np.array((q, p + h * (u * force(q))))
-
-
-def _composed(force: Callable[[np.ndarray], np.ndarray], r: np.ndarray, u: np.ndarray,
-              h: float, z: np.ndarray) -> np.ndarray:
-    """kick(h/2) . rotate(h) . kick(h/2), with r the rotation over h."""
-    return _kick(force, u, 0.5 * h, _rotate(r, _kick(force, u, 0.5 * h, z)))
+def _flow(force: Callable[[np.ndarray], np.ndarray], z: np.ndarray, *moves) -> np.ndarray:
+    """A copy of z = (q, p) advanced by the moves in order, from diagonals built
+    once: an array r = `rotation` over the flow's time maps (q, p) to
+    (c q + hs p, c p - osn q), and a pair (h, u), u the filter at the outer
+    step's nu, kicks p += h (u g(q)). The force is bound once (`bound_force`)
+    and evaluated once per position: a kick after a kick reuses g(q)."""
+    z = z.copy()
+    (q, p), g, moved = z, np.empty(z.shape[1:]), True
+    evaluate = bound_force(force, q, g)
+    for move in moves:
+        if isinstance(move, tuple):
+            h, u = move
+            if moved:
+                evaluate()
+            p += h * (u * g)
+        else:
+            c, hs, osn = move
+            z[...] = (c * q + hs * p, c * p - osn * q)
+        moved = not isinstance(move, tuple)
+    return z
 
 
 def flow_linear(part: Partition, h: float, s: State) -> State:
     """Exact flow of the force-free problem for time h (h may be negative)."""
-    return State.of(_rotate(rotation(part, h), s.z))
+    return State.of(_flow(None, s.z, rotation(part, h)))
 
 
 def flow_kick(
@@ -72,7 +76,7 @@ def flow_kick(
     """
     part = sys.partition
     u, = block_expand(part, h * part.omega if nu is None else nu, upsilon)
-    return State.of(_kick(sys.force, u, h, s.z))
+    return State.of(_flow(sys.force, s.z, (h, u)))
 
 
 def filter_refusal(m: ErknMethod, sym: SymmetryReport) -> Optional[NonSymmetricMethod]:
@@ -125,7 +129,7 @@ def strang_lnl_step(
     """
     part, ups = sys.partition, upsilon_from(m) if upsilon is None else upsilon
     (u,), half = block_expand(part, h * part.omega, ups), rotation(part, 0.5 * h)
-    return State.of(_rotate(half, _kick(sys.force, u, h, _rotate(half, s.z))))
+    return State.of(_flow(sys.force, s.z, half, (h, u), half))
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,8 @@ def trig_step_composed(tm: TrigMethod, sys: System, h: float, s: State) -> State
     """The same map assembled as kick(h/2) . rotate(h) . kick(h/2)."""
     part = sys.partition
     u, = block_expand(part, h * part.omega, tm.upsilon)
-    return State.of(_composed(sys.force, rotation(part, h), u, h, s.z))
+    kick = (0.5 * h, u)
+    return State.of(_flow(sys.force, s.z, kick, rotation(part, h), kick))
 
 
 @dataclass(frozen=True)
@@ -184,25 +189,24 @@ def conjugacy_check(m: ErknMethod, sys: System, h: float, s: State, n: int) -> C
 
     where hat is the kick-first step, `trig_step_composed`; both equal n method
     steps exactly in real arithmetic. Returns the max componentwise deviation seen.
+    The forms share their first 3n moves, and a kick after a kick reuses
+    g(q) (`_flow`): n + 1 force calls in all.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     part = sys.partition
     part.check_state(s)
-    force, full = sys.force, rotation(part, h)
-    half, back = rotation(part, 0.5 * h), rotation(part, -0.5 * h)
+    full, half, back = (rotation(part, t * h) for t in (1.0, 0.5, -0.5))
     u, = block_expand(part, h * part.omega, upsilon_from(m))
 
     ref = s.z.copy()  # the kernel's buffer (no kick row: m is one-stage)
-    step = step_map(force, m.coefficients(part, h), ref)
+    step = step_map(sys.force, m.coefficients(part, h), ref)
     for _ in range(n):
         step()
 
-    inner = _kick(force, u, 0.5 * h, _rotate(half, s.z))
-    for _ in range(n - 1):
-        inner = _composed(force, full, u, h, inner)
-    interior = _rotate(half, _kick(force, u, 0.5 * h, inner))
-    shifted = _rotate(back, _kick(force, u, -0.5 * h, _composed(force, full, u, h, inner)))
-
+    kick = (0.5 * h, u)  # inner = kick(h/2) [hat]^{n-1} kick(h/2) rotate(h/2)
+    inner = _flow(sys.force, s.z, half, *(kick, kick, full) * (n - 1), kick, kick)
+    interior = _flow(None, inner, half)
+    shifted = _flow(sys.force, inner, full, kick, (-0.5 * h, u), back)
     dev_interior, dev_shifted = _state_dev(ref, interior), _state_dev(ref, shifted)
     return ConjugacyReport(max(dev_interior, dev_shifted), dev_shifted, dev_interior)

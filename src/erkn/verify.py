@@ -131,20 +131,21 @@ def sigma(m: ErknMethod, nu: float) -> float:
     bw = m.b(nu)
     if abs(bb) < ZERO_TOL or abs(bw) < ZERO_TOL:
         raise ZeroCoefficient(f"{m.name}: weight within {ZERO_TOL:g} of zero at nu = {nu:g}")
-    first = sinc(nu) * math.cos(0.5 * nu) / (2.0 * bb)
-    second = nu * nu * sinc(nu) * (0.5 * sinc(0.5 * nu)) / (2.0 * bw)
+    sn = sinc(nu)
+    first = sn * math.cos(0.5 * nu) / (2.0 * bb)
+    second = nu * nu * sn * (0.5 * sinc(0.5 * nu)) / (2.0 * bw)
     return first + second
+
+
+def _sigma_in_bounds(lo: float, hi: float, *sigmas: float) -> bool:
+    return any(all(lo <= sign * s <= hi for s in sigmas) for sign in (1.0, -1.0))
 
 
 def sigma_bound_check(
     m: ErknMethod, h_omega: float, lo: float = 0.1, hi: float = 10.0
 ) -> bool:
     """True iff sigma (or -sigma) lies in [lo, hi] at both nu = 0 and h_omega."""
-    s0 = sigma(m, 0.0)
-    s1 = sigma(m, h_omega)
-    direct = lo <= s0 <= hi and lo <= s1 <= hi
-    flipped = lo <= -s0 <= hi and lo <= -s1 <= hi
-    return direct or flipped
+    return _sigma_in_bounds(lo, hi, sigma(m, 0.0), sigma(m, h_omega))
 
 
 @dataclass(frozen=True)
@@ -177,15 +178,11 @@ def assumption_report(
     nu = h * omega
     max_n = non_resonance_max_N(h, omega, c)
     try:
-        s0 = sigma(m, 0.0)
-        s1 = sigma(m, nu)
-        s_pass = sigma_bound_check(m, nu, sigma_lo, sigma_hi)
-        s_err = None
+        s0, s1 = sigma(m, 0.0), sigma(m, nu)
+        s_pass, s_err = _sigma_in_bounds(sigma_lo, sigma_hi, s0, s1), None
     except ZeroCoefficient as exc:
-        s0 = math.nan
-        s1 = math.nan
-        s_pass = False
-        s_err = str(exc)
+        s0 = s1 = math.nan
+        s_pass, s_err = False, str(exc)
     return AssumptionReport(
         max_N=max_n,
         h_omega=nu,

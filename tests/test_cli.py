@@ -190,7 +190,7 @@ def test_cmd_check_stretches_grid_beyond_default():
         assert f"h*omega = {h * omega:g} >= c0 = 0.1: pass" in text
         assert "sigma(h*omega)" in text
         grid = _check_grid(h * omega)
-        assert grid[:101] == list(NU_GRID) and grid[-1] == h * omega
+        assert grid[:101].tolist() == list(NU_GRID) and grid[-1] == h * omega
         assert len(grid) <= 1101 and all(a < b for a, b in zip(grid, grid[1:]))
 
 

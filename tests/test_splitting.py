@@ -133,7 +133,7 @@ def test_the_default_grid_is_scanned_once_per_method(fpu3):
     m = dataclasses.replace(erkn2, name="counted",
                             b=lambda nu: calls.append(nu) or erkn2.b(nu))
     upsilon_from(m)
-    assert len(calls) > len(NU_GRID)  # the first call scans the grid, twice
+    assert sum(map(np.size, calls)) > len(NU_GRID)  # the first call scans the grid's points
     calls.clear()
     ups = upsilon_from(m)
     trig_method_from(m)
@@ -143,6 +143,27 @@ def test_the_default_grid_is_scanned_once_per_method(fpu3):
     calls.clear()
     assert ups(1.0) == erkn2.b(1.0) / math.cos(0.5) and calls == [1.0]
     assert nu_grid_reports.cache_info().maxsize == len(METHODS)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_conjugacy_check_makes_n_plus_one_force_calls(n):
+    """A kick after a kick reuses g(q): n + 1 force calls for both wrapped
+    forms, counted with a force that has no `bind` (so the plain-force
+    fallback copies its results), with the bits of the bound force."""
+    sys_ = fpu_system(3, 80.0)
+    calls = []
+
+    def counted(q):
+        calls.append(q.copy())
+        return sys_.force(q)
+
+    plain = dataclasses.replace(sys_, force=counted)
+    for name in SYMMETRIC:
+        m, s = METHODS[name], sys_.initial
+        calls.clear()
+        got = conjugacy_check(m, plain, 0.07, s, n)
+        assert len(calls) == n + (n + 1), name  # n method steps, then the wrapped forms
+        assert got == conjugacy_check(m, sys_, 0.07, s, n)
 
 
 def perturbed_erkn2(eps: float, freq: float, phase: float):
