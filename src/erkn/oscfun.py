@@ -30,14 +30,12 @@ def sinc(x: float | np.ndarray) -> float | np.ndarray:
     Evaluated on |x| so the result is even in x bit-for-bit; near zero a
     4-term Taylor polynomial replaces the quotient.
     """
-    ax = abs(x)
-    if not isinstance(x, np.ndarray) and ax >= _SINC_SWITCH:
+    ax, array = abs(x), isinstance(x, np.ndarray) and x.ndim > 0  # 0-d is a scalar
+    if not array and ax >= _SINC_SWITCH:
         return math.sin(ax) / ax
     x2 = ax * ax
     taylor = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
-    if isinstance(x, np.ndarray):
-        return np.divide(np.sin(ax), ax, out=taylor, where=ax >= _SINC_SWITCH)
-    return taylor
+    return np.divide(np.sin(ax), ax, out=taylor, where=ax >= _SINC_SWITCH) if array else taylor
 
 
 def cos(x: float | np.ndarray) -> float | np.ndarray:

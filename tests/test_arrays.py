@@ -61,6 +61,8 @@ def test_scalars_keep_the_math_path():
         assert type(sinc(x)) in (float, np.float64) and not isinstance(sinc(x), np.ndarray)
         assert power(x, 3) == x ** 3
     assert sinc(0.7) == math.sin(0.7) / 0.7 and sinc(-0.0) == 1.0
+    for x in (0.7, 0.004, -0.0):  # a 0-d array is a scalar here
+        assert sinc(np.array(x)) == sinc(x) and cos(np.array(x)) == cos(x)
 
 
 @pytest.mark.parametrize("name", list(METHODS))
