@@ -24,8 +24,8 @@ SWITCH = 1e-2  # the Taylor switch of sinc
 EDGES = [0.0, -0.0, SWITCH, -SWITCH, math.nextafter(SWITCH, 0.0), math.nextafter(SWITCH, 1.0),
          -math.nextafter(SWITCH, 0.0), 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160,
          1e4, -1e4, math.pi, 2.0 * math.pi]
-nus = st.lists(st.sampled_from(EDGES) | st.floats(-1e4, 1e4) | st.floats(-0.05, 0.05),
-               max_size=40)
+nus = st.lists(st.sampled_from(EDGES) | st.floats(-1e4, 1e4) | st.floats(-0.05, 0.05)
+               | st.floats(0.0095, 0.0105) | st.floats(-0.0105, -0.0095), max_size=40)
 
 
 def same_bits(f, xs: list) -> None:
