@@ -172,6 +172,21 @@ def test_assumption_report_fields():
     assert rep.sigma_error is None
 
 
+@pytest.mark.parametrize("name", list(METHODS))
+@pytest.mark.parametrize("lo, hi", [(0.1, 10.0), (0.1, 2.0), (-5.0, -0.5)])
+def test_assumption_report_evaluates_sigma_once_per_point(name, lo, hi):
+    """sigma(0) and sigma(h*omega) are evaluated once each (one b and one bbar
+    call per point), and the verdict is sigma_bound_check's."""
+    m, calls = METHODS[name], []
+    counted = dataclasses.replace(m, b=lambda nu: calls.append(nu) or m.b(nu))
+    for h, omega in ((0.1, 50.0), (0.03, 333.0), (0.2, 7.0)):
+        calls.clear()
+        rep = assumption_report(counted, h, omega, sigma_lo=lo, sigma_hi=hi)
+        assert calls == [0.0, h * omega]
+        assert rep.sigma_pass == sigma_bound_check(m, h * omega, lo, hi)
+        assert (rep.sigma_at_0, rep.sigma_at_nu) == (sigma(m, 0.0), sigma(m, h * omega))
+
+
 def test_assumption_report_survives_resonant_nu():
     rep = assumption_report(METHODS["ERKN2"], math.pi, 1.0)
     assert rep.sigma_error is not None
