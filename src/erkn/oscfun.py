@@ -5,9 +5,8 @@ matrix function f(h*Omega) that the integrators need reduces to exactly two
 scalar values: f(0) for the slow block and f(h*omega) for the fast one.
 Nothing in this package ever materializes a matrix.
 
-`sinc`, `cos` and `power` take a scalar (float, int or np.float64), evaluated
-by `math`, or an ndarray, by libm's functions through numpy in one call each,
-with the bits of its elements evaluated one by one.
+`sinc`, `cos` and `power` take a scalar (float, int or np.float64), by `math`,
+or an ndarray, by libm through numpy: one call each, with the scalar bits.
 """
 
 from __future__ import annotations
@@ -24,18 +23,25 @@ from .systems import Partition
 _SINC_SWITCH = 1e-2
 
 
+def _taylor(ax: float | np.ndarray) -> float | np.ndarray:
+    x2 = ax * ax
+    return 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
+
+
 def sinc(x: float | np.ndarray) -> float | np.ndarray:
     """sin(x)/x, continued through x = 0.
 
     Evaluated on |x| so the result is even in x bit-for-bit; near zero a
     4-term Taylor polynomial replaces the quotient.
     """
-    ax, array = abs(x), isinstance(x, np.ndarray) and x.ndim > 0  # 0-d is a scalar
-    if not array and ax >= _SINC_SWITCH:
-        return math.sin(ax) / ax
-    x2 = ax * ax
-    taylor = 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
-    return np.divide(np.sin(ax), ax, out=taylor, where=ax >= _SINC_SWITCH) if array else taylor
+    ax = abs(x)
+    if not (isinstance(x, np.ndarray) and x.ndim > 0):  # a 0-d array is a scalar
+        return _taylor(ax) if ax < _SINC_SWITCH else math.sin(ax) / ax
+    small, out = ax < _SINC_SWITCH, np.sin(ax)
+    np.divide(out, ax, out=out, where=~small)
+    if small.any():
+        out[small] = _taylor(ax[small])
+    return out
 
 
 def cos(x: float | np.ndarray) -> float | np.ndarray:

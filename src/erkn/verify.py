@@ -131,9 +131,8 @@ def sigma(m: ErknMethod, nu: float) -> float:
     bw = m.b(nu)
     if abs(bb) < ZERO_TOL or abs(bw) < ZERO_TOL:
         raise ZeroCoefficient(f"{m.name}: weight within {ZERO_TOL:g} of zero at nu = {nu:g}")
-    sn = sinc(nu)
-    first = sn * math.cos(0.5 * nu) / (2.0 * bb)
-    second = nu * nu * sn * (0.5 * sinc(0.5 * nu)) / (2.0 * bw)
+    first = sinc(nu) * math.cos(0.5 * nu) / (2.0 * bb)
+    second = nu * nu * sinc(nu) * (0.5 * sinc(0.5 * nu)) / (2.0 * bw)
     return first + second
 
 
