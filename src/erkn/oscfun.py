@@ -23,25 +23,25 @@ from .systems import Partition
 _SINC_SWITCH = 1e-2
 
 
-def _taylor(ax: float | np.ndarray) -> float | np.ndarray:
-    x2 = ax * ax
-    return 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
-
-
 def sinc(x: float | np.ndarray) -> float | np.ndarray:
     """sin(x)/x, continued through x = 0.
 
     Evaluated on |x| so the result is even in x bit-for-bit; near zero a
-    4-term Taylor polynomial replaces the quotient.
+    4-term Taylor polynomial replaces the quotient (for an array, at those
+    points by the scalar path).
     """
+    if isinstance(x, np.ndarray) and x.ndim > 0:  # a 0-d array is a scalar
+        ax = np.abs(x)
+        small, out = ax < _SINC_SWITCH, np.sin(ax)
+        np.divide(out, ax, out=out, where=~small)
+        if small.any():
+            out[small] = [sinc(a) for a in ax[small].tolist()]
+        return out
     ax = abs(x)
-    if not (isinstance(x, np.ndarray) and x.ndim > 0):  # a 0-d array is a scalar
-        return _taylor(ax) if ax < _SINC_SWITCH else math.sin(ax) / ax
-    small, out = ax < _SINC_SWITCH, np.sin(ax)
-    np.divide(out, ax, out=out, where=~small)
-    if small.any():
-        out[small] = _taylor(ax[small])
-    return out
+    if ax < _SINC_SWITCH:
+        x2 = ax * ax
+        return 1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0
+    return math.sin(ax) / ax
 
 
 def cos(x: float | np.ndarray) -> float | np.ndarray:

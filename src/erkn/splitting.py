@@ -163,8 +163,7 @@ def trig_step_composed(tm: TrigMethod, sys: System, h: float, s: State) -> State
     """The same map assembled as kick(h/2) . rotate(h) . kick(h/2)."""
     part = sys.partition
     u, = block_expand(part, h * part.omega, tm.upsilon)
-    kick = (0.5 * h, u)
-    return State.of(_flow(sys.force, s.z, kick, rotation(part, h), kick))
+    return State.of(_flow(sys.force, s.z, (0.5 * h, u), rotation(part, h), (0.5 * h, u)))
 
 
 @dataclass(frozen=True)

@@ -67,17 +67,19 @@ def adjoint_defect(m: Method, sys: System, h: float, s: State) -> float:
     return _adjoint_defect(sys, m.coefficients(part, h), m.coefficients(part, -h), s)
 
 
-def _symplecticity_defect(sys: System, c: Coefficients, s: State, fd_eps: float) -> float:
+def _symplecticity_defect(sys: System, c: Coefficients, s: State,
+                          fd_eps: float) -> tuple[float, np.ndarray]:
     d = sys.partition.dim
-    # one step of 4*dim perturbed states: (q, p) + fd_eps e_j in column j, then - fd_eps e_j
-    eye = np.eye(2 * d)
-    block = (s.z.reshape(2 * d, 1) + fd_eps * np.hstack((eye, -eye))).reshape(2, d, 4 * d)
+    # one step of 4*dim perturbed states, (q, p) + fd_eps e_j in column j, then - fd_eps e_j,
+    # and of s itself in the last column, which is returned with the defect
+    eye, z = np.eye(2 * d), s.z.reshape(2 * d, 1)
+    block = np.hstack((z + fd_eps * np.hstack((eye, -eye)), z)).reshape(2, d, 4 * d + 1)
     column = c._make(None if x is None else x[:, None] for x in c)  # broadcast over the block
     y = _advance(sys.force, column, block)
-    jac = (y[:, :, : 2 * d] - y[:, :, 2 * d :]).reshape(2 * d, 2 * d) / (2.0 * fd_eps)
+    jac = (y[:, :, : 2 * d] - y[:, :, 2 * d : 4 * d]).reshape(2 * d, 2 * d) / (2.0 * fd_eps)
     jj = np.zeros((2 * d, 2 * d))
     jj[:d, d:], jj[d:, :d] = eye[:d, :d], -eye[:d, :d]
-    return float(np.max(np.abs(jac.T @ jj @ jac - jj)))
+    return float(np.max(np.abs(jac.T @ jj @ jac - jj))), y[:, :, 4 * d]
 
 
 def symplecticity_defect(m: Method, sys: System, h: float, s: State,
@@ -86,19 +88,18 @@ def symplecticity_defect(m: Method, sys: System, h: float, s: State,
     if not (math.isfinite(fd_eps) and fd_eps > 0.0):
         raise ValueError("fd_eps must be finite and > 0")
     sys.partition.check_state(s)
-    return _symplecticity_defect(sys, m.coefficients(sys.partition, h), s, fd_eps)
+    return _symplecticity_defect(sys, m.coefficients(sys.partition, h), s, fd_eps)[0]
 
 
 def structure_defects(m: Method, sys: System, h: float, s: State) -> list[DefectReport]:
-    """Both probes bundled for reporting; they share the step-h coefficients."""
+    """Both probes bundled for reporting: the adjoint probe steps back the
+    step of s that the symplecticity probe's block takes."""
     part, ctx = sys.partition, sys.label
     part.check_state(s)
-    fwd = m.coefficients(part, h)
-    return [
-        DefectReport(m.name, "adjoint",
-                     _adjoint_defect(sys, fwd, m.coefficients(part, -h), s), h, ctx),
-        DefectReport(m.name, "symplecticity", _symplecticity_defect(sys, fwd, s, FD_EPS), h, ctx),
-    ]
+    sp, once = _symplecticity_defect(sys, m.coefficients(part, h), s, FD_EPS)
+    adjoint = _state_dev(_advance(sys.force, m.coefficients(part, -h), once), s.z)
+    return [DefectReport(m.name, "adjoint", adjoint, h, ctx),
+            DefectReport(m.name, "symplecticity", sp, h, ctx)]
 
 
 def non_resonance_max_N(h: float, omega: float, c: float, k_max: int = 1000) -> int:
