@@ -38,8 +38,8 @@ FILTER_POLE_TOL = 1e-8
 def _flow(force: Callable[[np.ndarray], np.ndarray], z: np.ndarray, *moves) -> np.ndarray:
     """A copy of z = (q, p) advanced by the moves in order: r = `rotation` over
     the flow's time maps (q, p) to (c q + hs p, c p - osn q), and (h, u), u the
-    filter at the outer step's nu, kicks p += h (u g(q)). The force is bound
-    once (`bound_force`); a kick after a kick reuses g(q), as q has not moved."""
+    filter at the outer step's nu, kicks p += h (u g(q)). The force (None without
+    kicks) is bound once; a kick after a kick reuses g(q), as q has not moved."""
     z = z.copy()
     (q, p), g, moved = z, np.empty(z.shape[1:]), True
     evaluate = bound_force(force, q, g)
