@@ -19,13 +19,13 @@ import functools
 import math
 import os
 import sys as _sys
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .methods import METHODS, NU_GRID, nu_grid_reports, structure_reports
+from .methods import METHODS, check_reports
 from .splitting import NonSymmetricMethod, filter_refusal, trig_method_from
 from .systems import Partition, energies, fpu_system, linear_system
 from . import verify
@@ -135,15 +135,20 @@ def _prepare(
     cfgs: Sequence[ExperimentConfig], err: TextIO
 ) -> Optional[list[tuple[ExperimentConfig, DriftCell]]]:
     """Each cell's problem and coefficients for `drift_engine`, resolving each
-    distinct method name and building each distinct system once; None, with one error line printed, if any cell
-    is invalid (`resolve_method`, `build_problem` or `drift_coefficients`
-    fails) or the cells together would take more than `verify.MAX_SAMPLES`
+    distinct method name and building each distinct system once; None, with
+    one error line printed, if any cell is invalid (`resolve_method`,
+    `build_problem` or `drift_coefficients` fails), two cells would write the
+    same CSV, or the cells together would take more than `verify.MAX_SAMPLES`
     samples, all of which `_run_cells` holds before its first write."""
     resolve = functools.cache(resolve_method)  # one resolution per distinct name
     build = functools.cache(  # one system per distinct (problem, m, omega)
         lambda problem, m, omega: build_problem(ExperimentConfig("", problem, m, omega)))
-    cells = []
+    cells, outputs = [], set()
     for cfg in cfgs:
+        if cfg.output in outputs:  # a later cell's CSV would overwrite an earlier one's
+            print(f"error: two cells would write {cfg.output}", file=err)
+            return None
+        outputs.add(cfg.output)
         try:
             method, problem = resolve(cfg.method), build(cfg.problem, cfg.m, cfg.omega)
             coefs = drift_coefficients(method, problem, cfg.h, cfg.t_end, cfg.stride)
@@ -209,21 +214,6 @@ def cmd_run(
     return code
 
 
-def _union(a, b):
-    """A structure report on the union of two grids, from the reports on each:
-    it passes on both and keeps the larger residual."""
-    return replace(a, passed=a.passed and b.passed,
-                   max_residual=max(a.max_residual, b.max_residual))
-
-
-def _check_grid(nu: float) -> np.ndarray:
-    """NU_GRID (0 to 10), stretched by at most 1000 evenly spaced points on
-    (10, nu] when the operating point nu lies beyond it; the last point is nu
-    itself, and the cost stays bounded however large h*omega is."""
-    n = min(1000, math.ceil(10.0 * (nu - 10.0)))
-    return np.concatenate((NU_GRID, nu - (nu - 10.0) * np.arange(n - 1, -1, -1) / n))
-
-
 def cmd_check(
     method: str,
     h: float = 0.1,
@@ -245,10 +235,7 @@ def cmd_check(
         print("error: need finite numbers with h > 0, omega >= 0 and c > 0", file=err)
         return EXIT_USAGE
     m = METHODS[method]
-    sym, sp = nu_grid_reports(m)
-    stretch = _check_grid(h * omega)[len(NU_GRID):]
-    if len(stretch):  # one pass of each weight over the stretch's array
-        sym, sp = map(_union, (sym, sp), structure_reports(m, stretch))
+    sym, sp = check_reports(m, h * omega)
     print(f"method {m.name}: c1 = {m.c1:g}", file=out)
     print(
         f"symmetric: {'pass' if sym.passed else 'fail'} "

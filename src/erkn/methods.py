@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -195,6 +195,17 @@ def lift(force: Callable[[np.ndarray], np.ndarray], c: Coefficients, z: np.ndarr
     return np.concatenate((z, np.where(c.kick == 0.0, 0.0, c.kick * force(z[0]))[None]))
 
 
+def advance(force: Callable[[np.ndarray], np.ndarray], c: Coefficients,
+            z: np.ndarray, n: int = 1) -> np.ndarray:
+    """(q, p) n steps on from z, (2, dim) or (2, dim, B), in a fresh array:
+    z lifted (see `lift`) or copied, then one kernel bound and called n times."""
+    z = lift(force, c, z) if c.kick is not None else z.copy()
+    step = step_map(force, c, z)
+    for _ in range(n):
+        step()
+    return z[:2]
+
+
 def stepper(m, sys: System, h: float) -> Callable[[State], State]:
     """Bind (method, system, h) into a one-step map on `State`s, for an
     `ErknMethod` or a kick-first `TrigMethod` alike. All h-dependent
@@ -216,7 +227,7 @@ def stepper(m, sys: System, h: float) -> Callable[[State], State]:
 
 def erkn_step(m, sys: System, h: float, s: State) -> State:
     """One step of the method from state s (h may be negative)."""
-    return stepper(m, sys, h)(s)
+    return State.of(advance(sys.force, m.coefficients(sys.partition, h), s.z))
 
 
 @dataclass(frozen=True)
@@ -291,3 +302,17 @@ def nu_grid_reports(m: ErknMethod) -> tuple[SymmetryReport, SymplecticityReport]
     """`structure_reports` of m on NU_GRID, scanned once per method (the last
     len(METHODS) methods asked for are kept)."""
     return structure_reports(m)
+
+
+def check_reports(m: ErknMethod, nu: float) -> tuple[SymmetryReport, SymplecticityReport]:
+    """`check`'s structure reports at the operating point nu: `nu_grid_reports`,
+    joined beyond 10 (passing on both, keeping the larger residual) with one scan
+    of at most 1000 evenly spaced points on (10, nu], the last nu itself."""
+    reports = nu_grid_reports(m)
+    n = min(1000, math.ceil(10.0 * (nu - 10.0)))
+    if n <= 0:
+        return reports
+    stretch = nu - (nu - 10.0) * np.arange(n - 1, -1, -1) / n
+    return tuple(replace(a, passed=a.passed and b.passed,
+                         max_residual=max(a.max_residual, b.max_residual))
+                 for a, b in zip(reports, structure_reports(m, stretch)))

@@ -17,9 +17,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .methods import (COEFF_TOL, NU_GRID, Coefficients, ErknMethod, SymmetryReport,
+from .methods import (COEFF_TOL, NU_GRID, Coefficients, ErknMethod, SymmetryReport, advance,
                       bound_force, check_symmetry, erkn_step, nu_grid_reports, rotation,
-                      step_map, stepper)
+                      stepper)
 from .oscfun import block_expand
 from .systems import Partition, State, System
 
@@ -197,11 +197,7 @@ def conjugacy_check(m: ErknMethod, sys: System, h: float, s: State, n: int) -> C
     full, half, back = (rotation(part, t * h) for t in (1.0, 0.5, -0.5))
     u, = block_expand(part, h * part.omega, upsilon_from(m))
 
-    ref = s.z.copy()  # the kernel's buffer (no kick row: m is one-stage)
-    step = step_map(sys.force, m.coefficients(part, h), ref)
-    for _ in range(n):
-        step()
-
+    ref = advance(sys.force, m.coefficients(part, h), s.z, n)
     kick = (0.5 * h, u)  # inner = kick(h/2) [hat]^{n-1} kick(h/2) rotate(h/2)
     inner = _flow(sys.force, s.z, half, *(kick, kick, full) * (n - 1), kick, kick)
     interior = _flow(None, inner, half)

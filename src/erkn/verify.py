@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 # stepper, trig_stepper (another name for it), hamiltonian and oscillatory_energy
 # stay attributes of this module, where perfbench's tracer wraps them
-from .methods import Coefficients, ErknMethod, lift, step_map, stepper  # noqa: F401
+from .methods import Coefficients, ErknMethod, advance, lift, step_map, stepper  # noqa: F401
 from .oscfun import sinc
 from .splitting import TrigMethod, _state_dev, trig_stepper  # noqa: F401
 from .systems import State, System, energies, hamiltonian, oscillatory_energy  # noqa: F401
@@ -48,23 +48,12 @@ Method = Union[ErknMethod, TrigMethod]
 FD_EPS = 1e-5  # the central-difference step of `symplecticity_defect`
 
 
-def _advance(force: Callable[[np.ndarray], np.ndarray], c: Coefficients,
-             z: np.ndarray) -> np.ndarray:
-    """(q, p) one step on from z, (2, dim) or (2, dim, B), in a fresh array."""
-    z = lift(force, c, z) if c.kick is not None else z.copy()
-    step_map(force, c, z)()
-    return z[:2]
-
-
-def _adjoint_defect(sys: System, fwd: Coefficients, bwd: Coefficients, s: State) -> float:
-    return _state_dev(_advance(sys.force, bwd, _advance(sys.force, fwd, s.z)), s.z)
-
-
 def adjoint_defect(m: Method, sys: System, h: float, s: State) -> float:
     """Sup-norm of step(-h)(step(h)(s)) - s; zero for a symmetric map."""
-    part = sys.partition
+    part, force = sys.partition, sys.force
     part.check_state(s)
-    return _adjoint_defect(sys, m.coefficients(part, h), m.coefficients(part, -h), s)
+    once = advance(force, m.coefficients(part, h), s.z)
+    return _state_dev(advance(force, m.coefficients(part, -h), once), s.z)
 
 
 def _symplecticity_defect(sys: System, c: Coefficients, s: State,
@@ -75,7 +64,7 @@ def _symplecticity_defect(sys: System, c: Coefficients, s: State,
     eye, z = np.eye(2 * d), s.z.reshape(2 * d, 1)
     block = np.hstack((z + fd_eps * np.hstack((eye, -eye)), z)).reshape(2, d, 4 * d + 1)
     column = c._make(None if x is None else x[:, None] for x in c)  # broadcast over the block
-    y = _advance(sys.force, column, block)
+    y = advance(sys.force, column, block)
     jac = (y[:, :, : 2 * d] - y[:, :, 2 * d : 4 * d]).reshape(2 * d, 2 * d) / (2.0 * fd_eps)
     jj = np.zeros((2 * d, 2 * d))
     jj[:d, d:], jj[d:, :d] = eye[:d, :d], -eye[:d, :d]
@@ -97,7 +86,7 @@ def structure_defects(m: Method, sys: System, h: float, s: State) -> list[Defect
     part, ctx = sys.partition, sys.label
     part.check_state(s)
     sp, once = _symplecticity_defect(sys, m.coefficients(part, h), s, FD_EPS)
-    adjoint = _state_dev(_advance(sys.force, m.coefficients(part, -h), once), s.z)
+    adjoint = _state_dev(advance(sys.force, m.coefficients(part, -h), once), s.z)
     return [DefectReport(m.name, "adjoint", adjoint, h, ctx),
             DefectReport(m.name, "symplecticity", sp, h, ctx)]
 
@@ -128,13 +117,12 @@ def sigma(m: ErknMethod, nu: float) -> float:
         sigma = sinc(nu) cos(nu/2) / (2 bbar(nu))
                 + nu^2 sinc(nu) (sinc(nu/2)/2) / (2 b(nu))
     """
-    bb = m.bbar(nu)
-    bw = m.b(nu)
+    bb, bw = m.bbar(nu), m.b(nu)
     if abs(bb) < ZERO_TOL or abs(bw) < ZERO_TOL:
         raise ZeroCoefficient(f"{m.name}: weight within {ZERO_TOL:g} of zero at nu = {nu:g}")
-    first = sinc(nu) * math.cos(0.5 * nu) / (2.0 * bb)
-    second = nu * nu * sinc(nu) * (0.5 * sinc(0.5 * nu)) / (2.0 * bw)
-    return first + second
+    sn = sinc(nu)
+    return (sn * math.cos(0.5 * nu) / (2.0 * bb)
+            + nu * nu * sn * (0.5 * sinc(0.5 * nu)) / (2.0 * bw))
 
 
 def _sigma_in_bounds(lo: float, hi: float, *sigmas: float) -> bool:

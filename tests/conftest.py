@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from erkn import fpu_system
+from erkn import NU_GRID, fpu_system
 
 
 def pytest_configure(config):
@@ -11,6 +13,17 @@ def pytest_configure(config):
 def fpu3():
     """The benchmark lattice: m=3, omega=50."""
     return fpu_system(3, 50.0)
+
+
+@pytest.fixture(scope="session")
+def check_grid():
+    """`check`'s grid at the operating point nu (see `methods.check_reports`),
+    point by point: NU_GRID, then n <= 1000 evenly spaced points on (10, nu]."""
+    def grid(nu: float) -> list:
+        n = min(1000, math.ceil(10.0 * (nu - 10.0)))
+        return [*NU_GRID, *(nu - (nu - 10.0) * (n - k) / n for k in range(1, n + 1))]
+
+    return grid
 
 
 @pytest.fixture

@@ -21,7 +21,6 @@ from erkn.cli import (
     EXIT_USAGE,
     PRESETS,
     ExperimentConfig,
-    _check_grid,
     build_problem,
     cmd_check,
     cmd_run,
@@ -31,8 +30,8 @@ from erkn.cli import (
     resolve_method,
     write_drift_csv,
 )
-from erkn import METHODS, NU_GRID, TrigMethod, cli, verify
-from erkn.methods import nu_grid_reports
+from erkn import METHODS, NU_GRID, TrigMethod, cli, methods, verify
+from erkn.methods import check_reports, nu_grid_reports
 
 
 def run_cfg(tmp_path, **kw):
@@ -178,10 +177,13 @@ def test_cmd_check_unknown_method():
     assert cmd_check("NOPE", err=io.StringIO()) == EXIT_USAGE
 
 
-def test_cmd_check_stretches_grid_beyond_default():
+def test_cmd_check_stretches_grid_beyond_default(monkeypatch):
     # operating points nu = 40 and 1e5 lie outside the default grid; the report
-    # must still evaluate there rather than silently clipping, on a grid that
-    # ends at nu and stays bounded in size
+    # must still evaluate there rather than silently clipping, on a stretch
+    # beyond NU_GRID that ends at nu and stays bounded in size
+    grids, scan = [], methods.structure_reports
+    monkeypatch.setattr(methods, "structure_reports",
+                        lambda m, grid=NU_GRID: grids.append(grid) or scan(m, grid))
     for h, omega in [(0.2, 200.0), (1.0, 1e5)]:
         buf = io.StringIO()
         assert cmd_check("ERKN2", h=h, omega=omega, out=buf) == EXIT_OK
@@ -189,9 +191,9 @@ def test_cmd_check_stretches_grid_beyond_default():
         assert "symmetric: pass" in text and "symplectic: pass" in text, text
         assert f"h*omega = {h * omega:g} >= c0 = 0.1: pass" in text
         assert "sigma(h*omega)" in text
-        grid = _check_grid(h * omega)
-        assert grid[:101].tolist() == list(NU_GRID) and grid[-1] == h * omega
-        assert len(grid) <= 1101 and all(a < b for a, b in zip(grid, grid[1:]))
+        stretch = grids[-1].tolist()
+        assert 10.0 < stretch[0] and stretch[-1] == h * omega
+        assert len(stretch) <= 1000 and all(a < b for a, b in zip(stretch, stretch[1:]))
 
 
 def test_cmd_sweep_layout(tmp_path):
@@ -257,6 +259,23 @@ def test_a_sweep_reports_one_invalid_cell(tmp_path, capsys):
     assert not (tmp_path / "grid").exists()
 
 
+@pytest.mark.parametrize("grid", [
+    ["--methods", "ERKN2", "--omegas", "50", "--hs", "0.1,0.1000001"],
+    ["--methods", "ERKN2", "--omegas", "50,50.0000001", "--hs", "0.1"],
+    ["--methods", "ERKN2,ERKN2", "--omegas", "50", "--hs", "0.1"],
+])
+def test_a_sweep_refuses_cells_that_share_a_csv(tmp_path, capsys, grid):
+    """Cells whose CSV names coincide (`default_output_name` keeps 6 digits
+    of omega and h, and a repeated value repeats its name) would overwrite
+    each other: the sweep exits 2 with one error line naming the shared file
+    and creates no directory."""
+    outdir = tmp_path / "d"
+    assert main(["sweep", *grid, "--t-end", "1", "--outdir", str(outdir)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"error: two cells would write {outdir / 'ERKN2_w50_h0.1.csv'}\n"
+    assert captured.out == "" and not outdir.exists()
+
+
 def test_a_sweep_bounds_the_samples_of_all_its_cells(tmp_path, capsys, monkeypatch):
     """The cells of a sweep together may take at most MAX_SAMPLES samples,
     since all their rows are held before the first CSV is written; each cell
@@ -308,12 +327,13 @@ def test_the_lattice_size_is_bounded(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: ERKN2: need m <= {cli.MAX_M}\n"
 
 
-def test_check_reuses_each_methods_nu_grid_report():
-    """`check` takes NU_GRID's part of its reports from the per-method memo
-    `nu_grid_reports` and the stretch beyond 10 from the grid; joined, the two
-    equal the reports on the whole grid, also for methods whose residual is
-    worst beyond 10, and the joined symmetry report refuses the kick filter
-    as `upsilon_from` does on the whole grid."""
+def test_check_reuses_each_methods_nu_grid_report(check_grid):
+    """`check_reports` takes NU_GRID's part of `check`'s reports from the
+    per-method memo `nu_grid_reports` (and no more at nu <= 10) and the stretch
+    beyond 10 from one scan; joined, the two equal the reports on the whole
+    grid, also for methods whose residual is worst beyond 10, and the joined
+    symmetry report refuses the kick filter as `upsilon_from` does on the
+    whole grid."""
     def drifted(eps: float) -> erkn.ErknMethod:  # ERKN2 off by eps, more beyond nu = 10
         return erkn.ErknMethod(
             f"drift{eps:g}", 0.5, bbar=lambda nu: 0.5 * erkn.sinc(0.5 * nu),
@@ -322,14 +342,14 @@ def test_check_reuses_each_methods_nu_grid_report():
     drifting = [drifted(0.0), drifted(0.01)]  # the stretch decides their reports
     for m in [*METHODS.values(), *drifting]:
         for nu in (0.5, 10.0, 10.05, 23.0, 4000.0):
-            grid = _check_grid(nu)
-            stretch = grid[len(NU_GRID):]
-            joined = list(map(cli._union, nu_grid_reports(m), (
-                erkn.check_symmetry(m, stretch), erkn.check_symplecticity(m, stretch))))
-            assert joined == [erkn.check_symmetry(m, grid), erkn.check_symplecticity(m, grid)]
-    grid = _check_grid(23.0)
+            grid = check_grid(nu)
+            joined = check_reports(m, nu)
+            assert list(joined) == [erkn.check_symmetry(m, grid), erkn.check_symplecticity(m, grid)]
+            assert (joined is nu_grid_reports(m)) == (nu <= 10.0)
+    grid = check_grid(23.0)
     report = erkn.check_symmetry(drifting[0], grid)
     assert nu_grid_reports(drifting[0])[0].passed and not report.passed
+    assert check_reports(drifting[0], 23.0)[0] == report
     with pytest.raises(erkn.NonSymmetricMethod,
                        match=f"^symmetry residual {report.max_residual:.3e} exceeds "):
         erkn.upsilon_from(drifting[0], grid)
@@ -364,6 +384,7 @@ def test_prepare_resolves_each_method_name_once(tmp_path, monkeypatch):
     assert code == EXIT_OK
     assert calls == names
     assert len((tmp_path / "summary.csv").read_text().splitlines()) == 37
+    assert len(list(tmp_path.glob("*_w*_h*.csv"))) == 36  # a CSV per cell, none shared
 
 
 def test_cmd_sweep_io_errors(tmp_path):

@@ -6,8 +6,10 @@ rotations and the kick filter of `conjugacy_check` taken once and stepped on
 arrays, and one pass over the weights for both structure reports. The oracles
 below are the implementations that came before, kept here as references:
 `block_expand` of one function, the `State`-level flows and probes, and the
-scalar loops of `check_symmetry` and `check_symplecticity`. Every float must
-equal the oracle's, compared by `float.hex` (or by bytes for arrays).
+scalar loops of `check_symmetry` and `check_symplecticity`. `advance` and
+`erkn_step` are held to n calls of one bound kernel, and `check_reports` to
+one scan of the per-point check grid. Every float must equal the oracle's,
+compared by `float.hex` (or by bytes for arrays).
 """
 
 import dataclasses
@@ -29,6 +31,7 @@ from erkn import (
     TrigMethod,
     cli,
     conjugacy_check,
+    erkn_step,
     flow_kick,
     flow_linear,
     fpu_system,
@@ -41,8 +44,9 @@ from erkn import (
     trig_step_composed,
     upsilon_from,
 )
-from erkn.methods import (COEFF_TOL, Coefficients, SymmetryReport, SymplecticityReport, lift,
-                          rotation, step_map, structure_reports)
+from erkn import methods
+from erkn.methods import (COEFF_TOL, Coefficients, SymmetryReport, SymplecticityReport, advance,
+                          lift, rotation, step_map, structure_reports)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 SYMMETRIC = ["ERKN2", "ERKN3", "ERKN4"]
@@ -318,9 +322,10 @@ def test_one_pass_reports_equal_the_per_point_loops(grid, c1, value, every):
 def test_check_text_equals_the_per_point_loops(monkeypatch):
     """`check` for every registry method on an (h, omega) grid that crosses
     h*omega = 10 and includes omega = 0 and 1e5, against the same command
-    with the scalar-loop reports and the per-point grid. `check` skips an
-    empty stretch; the loops' report on it changes no NU_GRID report."""
+    with the scalar-loop reports on the per-point grid: `check_reports` scans
+    the per-point stretch beyond NU_GRID, and no stretch at nu <= 10."""
     hs, omegas = (0.01, 0.1, 0.3), (0.0, 1.0, 50.0, 99.0, 101.0, 200.0, 1e5)
+    nus = (0.0, 9.99, 10.0, 10.05, 10.1, 23.0, 90.0, 109.95, 110.0, 3e4, 1e5)
 
     def texts():
         out = []
@@ -332,13 +337,92 @@ def test_check_text_equals_the_per_point_loops(monkeypatch):
                                 buf.getvalue()))
         return out
 
-    got, check_grid = texts(), cli._check_grid
-    loops = lambda m, grid=NU_GRID: (old_check_symmetry(m, grid), old_check_symplecticity(m, grid))  # noqa: E731
-    monkeypatch.setattr(cli, "nu_grid_reports", loops)
-    monkeypatch.setattr(cli, "structure_reports", loops)
-    monkeypatch.setattr(cli, "_check_grid", old_check_grid)
+    def loops(m, grid=NU_GRID):
+        return old_check_symmetry(m, grid), old_check_symplecticity(m, grid)
+
+    def stretch_loops(m, grid):  # the loops on the per-point stretch to grid[-1] = nu
+        want = old_check_grid(grid[-1])[len(NU_GRID):]
+        same.append(grid.tolist() == want)
+        return loops(m, want)
+
+    got, same = texts(), []
+    monkeypatch.setattr(methods, "nu_grid_reports", loops)
+    monkeypatch.setattr(methods, "structure_reports", stretch_loops)
     assert got == texts()
-    for m in METHODS.values():
-        assert list(map(cli._union, loops(m), loops(m, []))) == list(loops(m))
-    for nu in (0.0, 9.99, 10.0, 10.05, 10.1, 23.0, 90.0, 109.95, 110.0, 3e4, 1e5):
-        assert check_grid(nu).tolist() == old_check_grid(nu)
+    for nu in nus:
+        methods.check_reports(METHODS["ERKN2"], nu)
+    stretched = sum(h * omega > 10.0 for h in hs for omega in omegas) * len(METHODS)
+    assert same == [True] * (stretched + sum(nu > 10.0 for nu in nus))
+
+
+def report_hexes(reports) -> list:
+    return [x if isinstance(x, bool) else x.hex() for r in reports for x in dataclasses.astuple(r)]
+
+
+@PROPERTY
+@given(st.sampled_from([0.0, 10.0]) | st.floats(0.0, 200.0) |
+       st.floats(10.0, 20.0, exclude_min=True, exclude_max=True) |
+       st.floats(110.0, 200.0, exclude_min=True))
+def test_check_reports_equal_the_reports_on_the_whole_check_grid(nu):
+    """`check_reports` joins the NU_GRID memo with the stretch to nu: the
+    reports of one scan of the per-point grid, for every registry method and
+    for a weight that takes only scalars, whose residual grows beyond 10."""
+    scalar_only = ErknMethod("scalar", 0.5, bbar=lambda x: 0.5 * float(sinc(0.5 * x)),
+                             b=lambda x: math.cos(0.5 * x) * (1.0 + 1e-3 * max(0.0, x - 10.0)))
+    for m in [*METHODS.values(), scalar_only]:
+        assert report_hexes(methods.check_reports(m, nu)) == \
+               report_hexes(structure_reports(m, old_check_grid(nu))), m.name
+
+
+def mixed_batch(sys: System, h: float, c1: float, s: State, kinds: list) -> tuple:
+    """The coefficient columns of a batch (one-stage where kinds[j] is False,
+    ERKN3's kick-first scheme where True) and its (2, dim, B) block of starts."""
+    part, trig = sys.partition, trig_method_from(METHODS["ERKN3"])
+    coefs = [(trig if kick else symplectic("S", c1)).coefficients(part, h) for kick in kinds]
+    block = np.stack([s.z * (1.0 - 0.1 * j) for j in range(len(kinds))], axis=-1)
+    return Coefficients.columns(coefs), block
+
+
+@PROPERTY
+@given(operating_points(), st.integers(1, 5),
+       st.lists(st.booleans(), min_size=1, max_size=4))
+def test_advance_equals_n_calls_of_one_bound_kernel(point, n, kinds):
+    """`advance` lifts or copies z, binds one kernel and calls it n times:
+    one-stage, kick-first and a batch with a column of each kind alike, with
+    the input left as it was."""
+    sys, h, c1, s = point
+    cases = [(symplectic("S", c1).coefficients(sys.partition, h), s.z)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:  # a kick filter's pole leaves the one-stage cases
+            cases += [(trig_method_from(METHODS["ERKN3"]).coefficients(sys.partition, h), s.z),
+                      mixed_batch(sys, h, c1, s, kinds)]
+        except ValueError:
+            pass
+        for c, z in cases:
+            start = z.copy()
+            want = lift(sys.force, c, z) if c.kick is not None else z.copy()
+            step = step_map(sys.force, c, want)
+            for _ in range(n):
+                step()
+            got = advance(sys.force, c, z, n)
+            assert got.shape == z.shape and got.tobytes() == want[:2].tobytes()
+            assert z.tobytes() == start.tobytes()
+
+
+@PROPERTY
+@given(operating_points())
+def test_erkn_step_equals_one_call_of_the_stepper(point):
+    """`erkn_step` (and `trig_step`, the same function) is one call of the
+    bound stepper, and its state is a read-only (2, dim) array."""
+    sys, h, c1, s = point
+    for m in probe_methods(c1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                want = stepper(m, sys, h)(s).z
+            except ValueError:  # a filter pole: erkn_step must refuse it too
+                with pytest.raises(ValueError):
+                    erkn_step(m, sys, h, s)
+                continue
+            got = erkn_step(m, sys, h, s).z
+        assert got.shape == (2, sys.partition.dim) and not got.flags.writeable, m.name
+        assert got.tobytes() == want.tobytes(), m.name

@@ -32,7 +32,7 @@ from erkn import (
     trig_stepper,
     upsilon_from,
 )
-from erkn.cli import _check_grid, cmd_check
+from erkn.cli import cmd_check
 from erkn.methods import nu_grid_reports
 
 SYMMETRIC = ("ERKN2", "ERKN3", "ERKN4")
@@ -176,12 +176,13 @@ def perturbed_erkn2(eps: float, freq: float, phase: float):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.one_of(st.just(0.0), st.floats(1e-10, 1.0)), st.floats(0.0, 3.0),
        st.floats(0.0, 2.0 * math.pi), st.floats(10.0, 200.0, exclude_min=True))
-def test_the_kick_filter_exists_exactly_when_the_method_is_symmetric(eps, freq, phase, nu):
+def test_the_kick_filter_exists_exactly_when_the_method_is_symmetric(check_grid, eps, freq,
+                                                                    phase, nu):
     """On NU_GRID and on `check`'s grid to nu, `upsilon_from` returns exactly
     when `check_symmetry` passes, and `check`'s kick-filter line says what
     `upsilon_from` does on the whole check grid."""
     m = perturbed_erkn2(eps, freq, phase)
-    for grid in (NU_GRID, _check_grid(nu)):
+    for grid in (NU_GRID, check_grid(nu)):
         try:
             ups = upsilon_from(m, grid)
             line = f"kick filter: available (Upsilon(0) = {ups(0.0):g})"

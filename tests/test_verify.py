@@ -150,6 +150,23 @@ def test_sigma_frozen_sample_values():
     assert sigma(METHODS["ERKN4"], 5.0) == pytest.approx(4.177303863896699, rel=1e-13)
 
 
+def test_sigma_evaluates_sinc_once_per_argument(monkeypatch):
+    """sigma reuses sinc(nu) in both terms: one sinc call at nu and one at
+    nu/2, with the bits of the formula that evaluates sinc(nu) twice."""
+    from erkn import sinc, verify
+
+    calls = []
+    monkeypatch.setattr(verify, "sinc", lambda x: calls.append(x) or sinc(x))
+    for m in METHODS.values():
+        for nu in (0.0, 0.3, 5.0, 9.3):
+            calls.clear()
+            bb, bw = m.bbar(nu), m.b(nu)
+            want = (sinc(nu) * math.cos(0.5 * nu) / (2.0 * bb)
+                    + nu * nu * sinc(nu) * (0.5 * sinc(0.5 * nu)) / (2.0 * bw))
+            assert sigma(m, nu).hex() == want.hex(), (m.name, nu)
+            assert calls == [nu, 0.5 * nu]
+
+
 def test_sigma_rejects_vanishing_weights():
     # at nu = pi the weight cos(nu/2) crosses zero
     with pytest.raises(ZeroCoefficient):
