@@ -18,7 +18,8 @@ def fpu3():
 @pytest.fixture(scope="session")
 def check_grid():
     """`check`'s grid at the operating point nu (see `methods.check_reports`),
-    point by point: NU_GRID, then n <= 1000 evenly spaced points on (10, nu]."""
+    point by point, as the oracle of the tests: NU_GRID, then n <= 1000 evenly
+    spaced points on (10, nu]."""
     def grid(nu: float) -> list:
         n = min(1000, math.ceil(10.0 * (nu - 10.0)))
         return [*NU_GRID, *(nu - (nu - 10.0) * (n - k) / n for k in range(1, n + 1))]

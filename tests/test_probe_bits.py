@@ -174,11 +174,6 @@ def old_check_symplecticity(m, grid, tol: float = COEFF_TOL) -> SymplecticityRep
     return SymplecticityReport(worst <= tol, d1, worst)
 
 
-def old_check_grid(nu: float) -> list:
-    n = min(1000, math.ceil(10.0 * (nu - 10.0)))
-    return [*NU_GRID, *(nu - (nu - 10.0) * (n - k) / n for k in range(1, n + 1))]
-
-
 # ---- drawn operating points ---------------------------------------------------------
 
 def cubic_system(part: Partition) -> System:
@@ -306,10 +301,10 @@ def spoiled(weight: str, value: float, every: int, at_zero: bool = True) -> Erkn
 @PROPERTY
 @given(st.lists(st.floats(0.0, 200.0), max_size=60), st.floats(0.05, 0.95),
        st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(2, 7))
-def test_one_pass_reports_equal_the_per_point_loops(grid, c1, value, every):
+def test_one_pass_reports_equal_the_per_point_loops(check_grid, grid, c1, value, every):
     methods = [*METHODS.values(), symplectic("S", c1), spoiled("b", value, every),
                spoiled("bbar", value, every), spoiled("b", value, every, at_zero=False)]
-    for g in (grid, NU_GRID, old_check_grid(25.0 + 10.0 * c1)):
+    for g in (grid, NU_GRID, check_grid(25.0 + 10.0 * c1)):
         for m in methods:
             sym, sp = structure_reports(m, g)
             want_sym, want_sp = old_check_symmetry(m, g), old_check_symplecticity(m, g)
@@ -319,7 +314,7 @@ def test_one_pass_reports_equal_the_per_point_loops(grid, c1, value, every):
                    (want_sp.passed, want_sp.d1.hex(), want_sp.max_residual.hex()), m.name
 
 
-def test_check_text_equals_the_per_point_loops(monkeypatch):
+def test_check_text_equals_the_per_point_loops(monkeypatch, check_grid):
     """`check` for every registry method on an (h, omega) grid that crosses
     h*omega = 10 and includes omega = 0 and 1e5, against the same command
     with the scalar-loop reports on the per-point grid: `check_reports` scans
@@ -341,7 +336,7 @@ def test_check_text_equals_the_per_point_loops(monkeypatch):
         return old_check_symmetry(m, grid), old_check_symplecticity(m, grid)
 
     def stretch_loops(m, grid):  # the loops on the per-point stretch to grid[-1] = nu
-        want = old_check_grid(grid[-1])[len(NU_GRID):]
+        want = check_grid(grid[-1])[len(NU_GRID):]
         same.append(grid.tolist() == want)
         return loops(m, want)
 
@@ -363,7 +358,7 @@ def report_hexes(reports) -> list:
 @given(st.sampled_from([0.0, 10.0]) | st.floats(0.0, 200.0) |
        st.floats(10.0, 20.0, exclude_min=True, exclude_max=True) |
        st.floats(110.0, 200.0, exclude_min=True))
-def test_check_reports_equal_the_reports_on_the_whole_check_grid(nu):
+def test_check_reports_equal_the_reports_on_the_whole_check_grid(check_grid, nu):
     """`check_reports` joins the NU_GRID memo with the stretch to nu: the
     reports of one scan of the per-point grid, for every registry method and
     for a weight that takes only scalars, whose residual grows beyond 10."""
@@ -371,7 +366,7 @@ def test_check_reports_equal_the_reports_on_the_whole_check_grid(nu):
                              b=lambda x: math.cos(0.5 * x) * (1.0 + 1e-3 * max(0.0, x - 10.0)))
     for m in [*METHODS.values(), scalar_only]:
         assert report_hexes(methods.check_reports(m, nu)) == \
-               report_hexes(structure_reports(m, old_check_grid(nu))), m.name
+               report_hexes(structure_reports(m, check_grid(nu))), m.name
 
 
 def mixed_batch(sys: System, h: float, c1: float, s: State, kinds: list) -> tuple:

@@ -27,10 +27,12 @@ from erkn import (
     oscillatory_energy,
     sigma,
     sigma_bound_check,
+    sinc,
     stepper,
     structure_defects,
     symplecticity_defect,
     trig_method_from,
+    verify,
 )
 
 
@@ -153,8 +155,6 @@ def test_sigma_frozen_sample_values():
 def test_sigma_evaluates_sinc_once_per_argument(monkeypatch):
     """sigma reuses sinc(nu) in both terms: one sinc call at nu and one at
     nu/2, with the bits of the formula that evaluates sinc(nu) twice."""
-    from erkn import sinc, verify
-
     calls = []
     monkeypatch.setattr(verify, "sinc", lambda x: calls.append(x) or sinc(x))
     for m in METHODS.values():
