@@ -27,7 +27,6 @@ from .splitting import (
     flow_linear,
     strang_lnl_step,
     trig_method_from,
-    trig_step,
     trig_step_composed,
     trig_stepper,
     upsilon_from,
@@ -57,7 +56,6 @@ from .verify import (
     drift_stats,
     non_resonance_max_N,
     sigma,
-    sigma_bound_check,
     structure_defects,
     symplecticity_defect,
 )

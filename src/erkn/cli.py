@@ -27,7 +27,7 @@ import numpy as np
 
 from .methods import METHODS, check_reports
 from .splitting import NonSymmetricMethod, filter_refusal, trig_method_from
-from .systems import Partition, energies, fpu_system, linear_system
+from .systems import Partition, System, energies, fpu_system, linear_system
 from . import verify
 from .verify import (  # drift_series stays a cli attribute: perfbench's tracer wraps it here
     DriftCell,
@@ -92,23 +92,23 @@ def resolve_method(name: str) -> Method:
 MAX_M = 10**4
 
 
-def build_problem(cfg: ExperimentConfig):
-    """The configured system; ValueError if its start has a non-finite energy
-    (omega^2 overflows in I from omega near 1e154), so that every dH would be nan."""
-    if cfg.m > MAX_M:  # before anything of size m is allocated
+def build_problem(problem: str, m: int, omega: float) -> System:
+    """The problem ("fpu" or "linear") at block size m; ValueError if its start has
+    a non-finite energy (omega^2 overflows in I from omega near 1e154): every dH nan."""
+    if m > MAX_M:  # before anything of size m is allocated
         raise ValueError(f"need m <= {MAX_M}")
-    if cfg.problem == "fpu":
-        problem = fpu_system(cfg.m, cfg.omega)
-    elif cfg.problem == "linear":
-        problem = linear_system(Partition(d1=cfg.m, d2=cfg.m, omega=cfg.omega))
+    if problem == "fpu":
+        system = fpu_system(m, omega)
+    elif problem == "linear":
+        system = linear_system(Partition(d1=m, d2=m, omega=omega))
     else:
-        raise KeyError(f"unknown problem {cfg.problem!r}; valid: fpu, linear")
+        raise KeyError(f"unknown problem {problem!r}; valid: fpu, linear")
     with np.errstate(over="ignore", invalid="ignore"):
-        start = energies(problem, *problem.initial.z)
+        start = energies(system, *system.initial.z)
     if not np.isfinite(start).all():
-        raise ValueError(f"the start of {problem.label} has non-finite energies "
+        raise ValueError(f"the start of {system.label} has non-finite energies "
                          f"(H = {start[0]:g}, I = {start[1]:g})")
-    return problem
+    return system
 
 
 # Rows formatted by one `%` operation; the text of one block is held at a time.
@@ -141,8 +141,7 @@ def _prepare(
     same CSV, or the cells together would take more than `verify.MAX_SAMPLES`
     samples, all of which `_run_cells` holds before its first write."""
     resolve = functools.cache(resolve_method)  # one resolution per distinct name
-    build = functools.cache(  # one system per distinct (problem, m, omega)
-        lambda problem, m, omega: build_problem(ExperimentConfig("", problem, m, omega)))
+    build = functools.cache(build_problem)  # one system per distinct (problem, m, omega)
     cells, outputs = [], set()
     for cfg in cfgs:
         if cfg.output in outputs:  # a later cell's CSV would overwrite an earlier one's

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import chain, repeat
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .methods import (COEFF_TOL, NU_GRID, Coefficients, ErknMethod, SymmetryReport, advance,
-                      bound_force, check_symmetry, erkn_step, nu_grid_reports, rotation,
-                      stepper)
+                      bound_force, check_symmetry, nu_grid_reports, rotation, stepper)
 from .oscfun import block_expand
 from .systems import Partition, State, System
 
@@ -35,7 +35,7 @@ class ResonantStepsize(ValueError):
 FILTER_POLE_TOL = 1e-8
 
 
-def _flow(force: Callable[[np.ndarray], np.ndarray], z: np.ndarray, *moves) -> np.ndarray:
+def _flow(force: Callable[[np.ndarray], np.ndarray], z: np.ndarray, moves: Iterable) -> np.ndarray:
     """A copy of z = (q, p) advanced by the moves in order: r = `rotation` over
     the flow's time maps (q, p) to (c q + hs p, c p - osn q), and (h, u), u the
     filter at the outer step's nu, kicks p += h (u g(q)). The force (None without
@@ -58,7 +58,7 @@ def _flow(force: Callable[[np.ndarray], np.ndarray], z: np.ndarray, *moves) -> n
 
 def flow_linear(part: Partition, h: float, s: State) -> State:
     """Exact flow of the force-free problem for time h (h may be negative)."""
-    return State.of(_flow(None, s.z, rotation(part, h)))
+    return State.of(_flow(None, s.z, (rotation(part, h),)))
 
 
 def flow_kick(
@@ -75,7 +75,7 @@ def flow_kick(
     """
     part = sys.partition
     u, = block_expand(part, h * part.omega if nu is None else nu, upsilon)
-    return State.of(_flow(sys.force, s.z, (h, u)))
+    return State.of(_flow(sys.force, s.z, ((h, u),)))
 
 
 def filter_refusal(m: ErknMethod, sym: SymmetryReport) -> Optional[NonSymmetricMethod]:
@@ -128,7 +128,7 @@ def strang_lnl_step(
     """
     part, ups = sys.partition, upsilon_from(m) if upsilon is None else upsilon
     (u,), half = block_expand(part, h * part.omega, ups), rotation(part, 0.5 * h)
-    return State.of(_flow(sys.force, s.z, half, (h, u), half))
+    return State.of(_flow(sys.force, s.z, (half, (h, u), half)))
 
 
 @dataclass(frozen=True)
@@ -148,22 +148,21 @@ class TrigMethod:
         return c._replace(kick=c.wp)
 
 
-def trig_method_from(m: ErknMethod, grid: Sequence[float] = NU_GRID) -> TrigMethod:
+def trig_method_from(m: ErknMethod) -> TrigMethod:
     """Conjugate kick-first scheme of a symmetric one-stage method."""
-    return TrigMethod(f"trig:{m.name}", upsilon_from(m, grid=grid))
+    return TrigMethod(f"trig:{m.name}", upsilon_from(m))
 
 
 # The kick-first step is the one step kernel with the scheme's
 # coefficients (`TrigMethod.coefficients`): `stepper` and `erkn_step` serve it.
 trig_stepper = stepper
-trig_step = erkn_step
 
 
 def trig_step_composed(tm: TrigMethod, sys: System, h: float, s: State) -> State:
     """The same map assembled as kick(h/2) . rotate(h) . kick(h/2)."""
     part = sys.partition
     u, = block_expand(part, h * part.omega, tm.upsilon)
-    return State.of(_flow(sys.force, s.z, (0.5 * h, u), rotation(part, h), (0.5 * h, u)))
+    return State.of(_flow(sys.force, s.z, ((0.5 * h, u), rotation(part, h), (0.5 * h, u))))
 
 
 @dataclass(frozen=True)
@@ -199,8 +198,9 @@ def conjugacy_check(m: ErknMethod, sys: System, h: float, s: State, n: int) -> C
 
     ref = advance(sys.force, m.coefficients(part, h), s.z, n)
     kick = (0.5 * h, u)  # inner = kick(h/2) [hat]^{n-1} kick(h/2) rotate(h/2)
-    inner = _flow(sys.force, s.z, half, *(kick, kick, full) * (n - 1), kick, kick)
-    interior = _flow(None, inner, half)
-    shifted = _flow(sys.force, inner, full, kick, (-0.5 * h, u), back)
+    hats = chain.from_iterable(repeat((kick, kick, full), n - 1))  # streamed, not held
+    inner = _flow(sys.force, s.z, chain((half,), hats, (kick, kick)))
+    interior = _flow(None, inner, (half,))
+    shifted = _flow(sys.force, inner, (full, kick, (-0.5 * h, u), back))
     dev_interior, dev_shifted = _state_dev(ref, interior), _state_dev(ref, shifted)
     return ConjugacyReport(max(dev_interior, dev_shifted), dev_shifted, dev_interior)

@@ -125,17 +125,6 @@ def sigma(m: ErknMethod, nu: float) -> float:
             + nu * nu * sn * (0.5 * sinc(0.5 * nu)) / (2.0 * bw))
 
 
-def _sigma_in_bounds(lo: float, hi: float, *sigmas: float) -> bool:
-    return any(all(lo <= sign * s <= hi for s in sigmas) for sign in (1.0, -1.0))
-
-
-def sigma_bound_check(
-    m: ErknMethod, h_omega: float, lo: float = 0.1, hi: float = 10.0
-) -> bool:
-    """True iff sigma (or -sigma) lies in [lo, hi] at both nu = 0 and h_omega."""
-    return _sigma_in_bounds(lo, hi, sigma(m, 0.0), sigma(m, h_omega))
-
-
 @dataclass(frozen=True)
 class AssumptionReport:
     """Stepsize assumptions at one (h, omega) operating point."""
@@ -162,12 +151,15 @@ def assumption_report(
     sigma_lo: float = 0.1,
     sigma_hi: float = 10.0,
 ) -> AssumptionReport:
-    """Evaluate the non-resonance count, the stepsize floor, and the sigma bound."""
+    """Evaluate the non-resonance count, the stepsize floor, and the sigma bound:
+    it passes iff sigma (or -sigma) lies in [sigma_lo, sigma_hi] at both nu = 0
+    and h*omega. A weight that vanishes there fails it and sets sigma_error."""
     nu = h * omega
     max_n = non_resonance_max_N(h, omega, c)
     try:
         s0, s1 = sigma(m, 0.0), sigma(m, nu)
-        s_pass, s_err = _sigma_in_bounds(sigma_lo, sigma_hi, s0, s1), None
+        s_pass, s_err = any(all(sigma_lo <= sign * s <= sigma_hi for s in (s0, s1))
+                            for sign in (1.0, -1.0)), None
     except ZeroCoefficient as exc:
         s0 = s1 = math.nan
         s_pass, s_err = False, str(exc)

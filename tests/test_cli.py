@@ -63,12 +63,12 @@ def test_every_method_the_error_lists_resolves():
 
 
 def test_build_problem_kinds():
-    sys = build_problem(ExperimentConfig(method="ERKN2", problem="fpu", m=2, omega=10.0))
+    sys = build_problem("fpu", 2, 10.0)
     assert sys.partition.d1 == 2 and sys.partition.omega == 10.0
-    lin = build_problem(ExperimentConfig(method="ERKN2", problem="linear", m=1, omega=5.0))
+    lin = build_problem("linear", 1, 5.0)
     assert np.all(lin.force(np.ones(2)) == 0.0)
     with pytest.raises(KeyError):
-        build_problem(ExperimentConfig(method="ERKN2", problem="kepler"))
+        build_problem("kepler", 3, 50.0)
 
 
 def test_csv_format(tmp_path):

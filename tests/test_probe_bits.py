@@ -407,8 +407,8 @@ def test_advance_equals_n_calls_of_one_bound_kernel(point, n, kinds):
 @PROPERTY
 @given(operating_points())
 def test_erkn_step_equals_one_call_of_the_stepper(point):
-    """`erkn_step` (and `trig_step`, the same function) is one call of the
-    bound stepper, and its state is a read-only (2, dim) array."""
+    """`erkn_step` (for one-stage and kick-first methods alike) is one call of
+    the bound stepper, and its state is a read-only (2, dim) array."""
     sys, h, c1, s = point
     for m in probe_methods(c1):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -26,7 +26,6 @@ from erkn import (
     non_resonance_max_N,
     oscillatory_energy,
     sigma,
-    sigma_bound_check,
     sinc,
     stepper,
     structure_defects,
@@ -174,8 +173,9 @@ def test_sigma_rejects_vanishing_weights():
 
 
 def test_sigma_bound_check():
-    assert sigma_bound_check(METHODS["ERKN2"], 5.0)
-    assert not sigma_bound_check(METHODS["ERKN4"], 5.0, lo=0.1, hi=2.0)
+    assert assumption_report(METHODS["ERKN2"], 0.1, 50.0).sigma_pass
+    # sigma(ERKN4, 5) = 4.18 lies outside [0.1, 2]
+    assert not assumption_report(METHODS["ERKN4"], 0.1, 50.0, sigma_hi=2.0).sigma_pass
 
 
 def test_assumption_report_fields():
@@ -193,15 +193,18 @@ def test_assumption_report_fields():
 @pytest.mark.parametrize("lo, hi", [(0.1, 10.0), (0.1, 2.0), (-5.0, -0.5)])
 def test_assumption_report_evaluates_sigma_once_per_point(name, lo, hi):
     """sigma(0) and sigma(h*omega) are evaluated once each (one b and one bbar
-    call per point), and the verdict is sigma_bound_check's."""
+    call per point), and the verdict is the bound test on those two values:
+    sigma or -sigma in [lo, hi] at both."""
     m, calls = METHODS[name], []
     counted = dataclasses.replace(m, b=lambda nu: calls.append(nu) or m.b(nu))
     for h, omega in ((0.1, 50.0), (0.03, 333.0), (0.2, 7.0)):
         calls.clear()
         rep = assumption_report(counted, h, omega, sigma_lo=lo, sigma_hi=hi)
         assert calls == [0.0, h * omega]
-        assert rep.sigma_pass == sigma_bound_check(m, h * omega, lo, hi)
-        assert (rep.sigma_at_0, rep.sigma_at_nu) == (sigma(m, 0.0), sigma(m, h * omega))
+        s0, s1 = sigma(m, 0.0), sigma(m, h * omega)
+        assert rep.sigma_pass == (lo <= s0 <= hi and lo <= s1 <= hi
+                                  or lo <= -s0 <= hi and lo <= -s1 <= hi)
+        assert (rep.sigma_at_0, rep.sigma_at_nu) == (s0, s1)
 
 
 def test_assumption_report_survives_resonant_nu():
