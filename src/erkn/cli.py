@@ -5,8 +5,8 @@ Subcommands:
     check  print the structure/assumption report for one method
     sweep  run a method x omega x h grid into a directory plus summary.csv
 
-Exit codes: 0 success, 2 usage error, 3 I/O error (a closed stdout included),
-4 trajectory blow-up.
+Exit codes: 0 success, 2 usage error, 3 I/O error (a failed write to stdout or
+stderr, and a stdout closed at start, included), 4 trajectory blow-up.
 CSV output is deterministic: 17 significant digits, '.' decimal separator,
 '\\n' line endings.
 """
@@ -215,8 +215,8 @@ def cmd_run(
 
 def cmd_check(
     method: str,
-    h: float = 0.1,
-    omega: float = 50.0,
+    h: float = ExperimentConfig.h,
+    omega: float = ExperimentConfig.omega,
     c: float = 1.0,
     c0: float = 0.1,
     sigma_lo: float = 0.1,
@@ -404,13 +404,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_main() -> None:
+    if _sys.stdout is None:  # started with stdout closed: no report could be written
+        raise SystemExit(EXIT_IO)
     try:
         code = main()
         _sys.stdout.flush()  # output still buffered for a pipe fails here
-    except BrokenPipeError:
-        # the reader left early; stdout goes to devnull so that the flush at
-        # interpreter exit stays quiet too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), _sys.stdout.fileno())
+    except OSError:
+        # a write to stdout or stderr failed (a reader that left early, a full device);
+        # both go to devnull so that the flushes at interpreter exit stay quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        for stream in filter(None, (_sys.stdout, _sys.stderr)):  # None: closed at start
+            os.dup2(devnull, stream.fileno())
         code = EXIT_IO
     raise SystemExit(code)
 

@@ -90,10 +90,10 @@ def _turns(omega: float, h: float, c: float = 1.0) -> tuple[Callable[[float], fl
             lambda nu: omega * math.sin(c * nu))
 
 
-def rotation(part: Partition, h: float, c: float = 1.0) -> np.ndarray:
-    """Diagonals of the exact force-free flow over time c*h (h may be negative),
-    the rows cos(c*h*Omega), c*h sinc(c*h*Omega) and Omega sin(c*h*Omega)."""
-    return block_expand(part, h * part.omega, *_turns(part.omega, h, c))
+def rotation(part: Partition, h: float) -> np.ndarray:
+    """Diagonals of the exact force-free flow over time h (h may be negative),
+    the rows cos(h*Omega), h sinc(h*Omega) and Omega sin(h*Omega)."""
+    return block_expand(part, h * part.omega, *_turns(part.omega, h))
 
 
 class Coefficients(NamedTuple):
@@ -212,13 +212,13 @@ def stepper(m, sys: System, h: float) -> Callable[[State], State]:
     coefficients (the method's `coefficients`) are evaluated once here; the
     returned closure is what trajectory loops should call (lifting each state
     of a kick-first scheme for its opening half kick: two force calls). States
-    are copied in and out, so none shares memory with the kernel's buffer."""
-    c = m.coefficients(sys.partition, h)
+    are checked and copied in and out, so none shares memory with the kernel's buffer."""
+    c, force, check = m.coefficients(sys.partition, h), sys.force, sys.partition.check_state
     z = np.empty((2 if c.kick is None else 3, sys.partition.dim))
-    y, kernel = z[:2], step_map(sys.force, c, z)
+    y, kernel = z[:2], step_map(force, c, z)
 
     def step(s: State) -> State:
-        z[...] = lift(sys.force, c, s.z)
+        z[...] = lift(force, c, check(s))
         kernel()
         return State.of(y.copy())
 
@@ -226,8 +226,8 @@ def stepper(m, sys: System, h: float) -> Callable[[State], State]:
 
 
 def erkn_step(m, sys: System, h: float, s: State) -> State:
-    """One step of the method from state s (h may be negative)."""
-    return State.of(advance(sys.force, m.coefficients(sys.partition, h), s.z))
+    """One step of the method from state s (h may be negative): `stepper`'s."""
+    return stepper(m, sys, h)(s)
 
 
 @dataclass(frozen=True)

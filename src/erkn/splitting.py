@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .methods import (COEFF_TOL, NU_GRID, Coefficients, ErknMethod, SymmetryReport, advance,
-                      bound_force, check_symmetry, nu_grid_reports, rotation, stepper)
+from .methods import (COEFF_TOL, Coefficients, ErknMethod, SymmetryReport, advance, bound_force,
+                      nu_grid_reports, rotation, stepper)
 from .oscfun import block_expand
 from .systems import Partition, State, System
 
@@ -58,7 +58,7 @@ def _flow(force: Callable[[np.ndarray], np.ndarray], z: np.ndarray, moves: Itera
 
 def flow_linear(part: Partition, h: float, s: State) -> State:
     """Exact flow of the force-free problem for time h (h may be negative)."""
-    return State.of(_flow(None, s.z, (rotation(part, h),)))
+    return State.of(_flow(None, part.check_state(s), (rotation(part, h),)))
 
 
 def flow_kick(
@@ -70,12 +70,12 @@ def flow_kick(
 ) -> State:
     """Momentum kick p += h * Upsilon g(q) with q unchanged.
 
-    nu is where the filter is evaluated; it defaults to h*omega, but
-    compositions pass the outer step's value when kicking with h/2.
+    nu is where the filter is evaluated; it defaults to h*omega. A caller who
+    composes half kicks by hand passes the outer step's nu with h/2.
     """
     part = sys.partition
     u, = block_expand(part, h * part.omega if nu is None else nu, upsilon)
-    return State.of(_flow(sys.force, s.z, ((h, u),)))
+    return State.of(_flow(sys.force, part.check_state(s), ((h, u),)))
 
 
 def filter_refusal(m: ErknMethod, sym: SymmetryReport) -> Optional[NonSymmetricMethod]:
@@ -89,17 +89,15 @@ def filter_refusal(m: ErknMethod, sym: SymmetryReport) -> Optional[NonSymmetricM
     return None
 
 
-def upsilon_from(m: ErknMethod, grid: Sequence[float] = NU_GRID) -> Callable[[float], float]:
+def upsilon_from(m: ErknMethod) -> Callable[[float], float]:
     """Extract the kick filter nu -> b(nu)/cos(nu/2) of a symmetric method.
 
-    Refused (`filter_refusal`) exactly when `check_symmetry(m, grid)` fails,
-    since its relation (1 + cos nu) bbar = sinc(nu) b is 2 bbar/sinc(nu/2) =
-    b/cos(nu/2) off the poles: one filter gives both weights. On NU_GRID the
-    report is `nu_grid_reports`'s. The returned function refuses arguments on
-    a pole of cos(nu/2).
+    Refused (`filter_refusal`) exactly when `check_symmetry` fails on NU_GRID
+    (`nu_grid_reports`), since its relation (1 + cos nu) bbar = sinc(nu) b is
+    2 bbar/sinc(nu/2) = b/cos(nu/2) off the poles: one filter gives both
+    weights. The returned function refuses arguments on a pole of cos(nu/2).
     """
-    refusal = filter_refusal(m, nu_grid_reports(m)[0] if grid is NU_GRID
-                             else check_symmetry(m, grid))
+    refusal = filter_refusal(m, nu_grid_reports(m)[0])
     if refusal is not None:
         raise refusal
 
@@ -128,7 +126,7 @@ def strang_lnl_step(
     """
     part, ups = sys.partition, upsilon_from(m) if upsilon is None else upsilon
     (u,), half = block_expand(part, h * part.omega, ups), rotation(part, 0.5 * h)
-    return State.of(_flow(sys.force, s.z, (half, (h, u), half)))
+    return State.of(_flow(sys.force, part.check_state(s), (half, (h, u), half)))
 
 
 @dataclass(frozen=True)
@@ -161,8 +159,8 @@ trig_stepper = stepper
 def trig_step_composed(tm: TrigMethod, sys: System, h: float, s: State) -> State:
     """The same map assembled as kick(h/2) . rotate(h) . kick(h/2)."""
     part = sys.partition
-    u, = block_expand(part, h * part.omega, tm.upsilon)
-    return State.of(_flow(sys.force, s.z, ((0.5 * h, u), rotation(part, h), (0.5 * h, u))))
+    z, (u,) = part.check_state(s), block_expand(part, h * part.omega, tm.upsilon)
+    return State.of(_flow(sys.force, z, ((0.5 * h, u), rotation(part, h), (0.5 * h, u))))
 
 
 @dataclass(frozen=True)
@@ -191,15 +189,14 @@ def conjugacy_check(m: ErknMethod, sys: System, h: float, s: State, n: int) -> C
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    part = sys.partition
-    part.check_state(s)
+    part, z = sys.partition, sys.partition.check_state(s)
     full, half, back = (rotation(part, t * h) for t in (1.0, 0.5, -0.5))
     u, = block_expand(part, h * part.omega, upsilon_from(m))
 
-    ref = advance(sys.force, m.coefficients(part, h), s.z, n)
+    ref = advance(sys.force, m.coefficients(part, h), z, n)
     kick = (0.5 * h, u)  # inner = kick(h/2) [hat]^{n-1} kick(h/2) rotate(h/2)
     hats = chain.from_iterable(repeat((kick, kick, full), n - 1))  # streamed, not held
-    inner = _flow(sys.force, s.z, chain((half,), hats, (kick, kick)))
+    inner = _flow(sys.force, z, chain((half,), hats, (kick, kick)))
     interior = _flow(None, inner, (half,))
     shifted = _flow(sys.force, inner, (full, kick, (-0.5 * h, u), back))
     dev_interior, dev_shifted = _state_dev(ref, interior), _state_dev(ref, shifted)

@@ -34,10 +34,12 @@ class Partition:
     def dim(self) -> int:
         return self.d1 + self.d2
 
-    def check_state(self, s: "State") -> None:
-        """Raise ValueError unless the state s has this partition's dimension."""
+    def check_state(self, s: "State") -> np.ndarray:
+        """The (2, dim) array z of the state s, where every entry point that takes
+        a `State` reads it; ValueError unless s has this partition's dimension."""
         if s.z.shape != (2, self.dim):
             raise ValueError("state does not match system partition")
+        return s.z
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -114,14 +116,13 @@ def energies(sys: System, q: np.ndarray, p: np.ndarray, omega=None):
 
 def oscillatory_energy(part: Partition, s: State) -> float:
     """Energy of the fast subsystem, I = 1/2 |p2|^2 + 1/2 omega^2 |q2|^2."""
-    part.check_state(s)
-    return float(_oscillatory(part.d1, part.omega, s.q, s.p))
+    q, p = part.check_state(s)
+    return float(_oscillatory(part.d1, part.omega, q, p))
 
 
 def hamiltonian(sys: System, s: State) -> float:
     """Total energy H = 1/2 |p|^2 + 1/2 omega^2 |q2|^2 + U(q)."""
-    sys.partition.check_state(s)
-    return float(energies(sys, s.q, s.p)[0])
+    return float(energies(sys, *sys.partition.check_state(s))[0])
 
 
 def fpu_initial(m: int, omega: float) -> State:

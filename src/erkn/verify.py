@@ -50,18 +50,17 @@ FD_EPS = 1e-5  # the central-difference step of `symplecticity_defect`
 
 def adjoint_defect(m: Method, sys: System, h: float, s: State) -> float:
     """Sup-norm of step(-h)(step(h)(s)) - s; zero for a symmetric map."""
-    part, force = sys.partition, sys.force
-    part.check_state(s)
-    once = advance(force, m.coefficients(part, h), s.z)
-    return _state_dev(advance(force, m.coefficients(part, -h), once), s.z)
+    part, force, z = sys.partition, sys.force, sys.partition.check_state(s)
+    once = advance(force, m.coefficients(part, h), z)
+    return _state_dev(advance(force, m.coefficients(part, -h), once), z)
 
 
-def _symplecticity_defect(sys: System, c: Coefficients, s: State,
+def _symplecticity_defect(sys: System, c: Coefficients, z: np.ndarray,
                           fd_eps: float) -> tuple[float, np.ndarray]:
     d = sys.partition.dim
     # one step of 4*dim perturbed states, (q, p) + fd_eps e_j in column j, then - fd_eps e_j,
-    # and of s itself in the last column, which is returned with the defect
-    eye, z = np.eye(2 * d), s.z.reshape(2 * d, 1)
+    # and of z itself in the last column, which is returned with the defect
+    eye, z = np.eye(2 * d), z.reshape(2 * d, 1)
     block = np.hstack((z + fd_eps * np.hstack((eye, -eye)), z)).reshape(2, d, 4 * d + 1)
     column = c._make(None if x is None else x[:, None] for x in c)  # broadcast over the block
     y = advance(sys.force, column, block)
@@ -76,17 +75,16 @@ def symplecticity_defect(m: Method, sys: System, h: float, s: State,
     """max |M^T J M - J| for the step Jacobian M by central differences."""
     if not (math.isfinite(fd_eps) and fd_eps > 0.0):
         raise ValueError("fd_eps must be finite and > 0")
-    sys.partition.check_state(s)
-    return _symplecticity_defect(sys, m.coefficients(sys.partition, h), s, fd_eps)[0]
+    z = sys.partition.check_state(s)
+    return _symplecticity_defect(sys, m.coefficients(sys.partition, h), z, fd_eps)[0]
 
 
 def structure_defects(m: Method, sys: System, h: float, s: State) -> list[DefectReport]:
     """Both probes bundled for reporting: the adjoint probe steps back the
     step of s that the symplecticity probe's block takes."""
-    part, ctx = sys.partition, sys.label
-    part.check_state(s)
-    sp, once = _symplecticity_defect(sys, m.coefficients(part, h), s, FD_EPS)
-    adjoint = _state_dev(advance(sys.force, m.coefficients(part, -h), once), s.z)
+    part, ctx, z = sys.partition, sys.label, sys.partition.check_state(s)
+    sp, once = _symplecticity_defect(sys, m.coefficients(part, h), z, FD_EPS)
+    adjoint = _state_dev(advance(sys.force, m.coefficients(part, -h), once), z)
     return [DefectReport(m.name, "adjoint", adjoint, h, ctx),
             DefectReport(m.name, "symplecticity", sp, h, ctx)]
 
@@ -201,8 +199,7 @@ def drift_coefficients(
         raise ValueError(f"need at most {MAX_STEPS} steps and {MAX_SAMPLES} samples")
     if sys.initial is None:
         raise ValueError(f"system {sys.label!r} has no designated initial state")
-    sys.partition.check_state(sys.initial)
-    if not np.isfinite(sys.initial.z).all():
+    if not np.isfinite(sys.partition.check_state(sys.initial)).all():
         raise ValueError(f"system {sys.label!r} has a non-finite initial state")
     return method.coefficients(sys.partition, h)
 

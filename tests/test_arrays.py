@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erkn import METHODS, NU_GRID, check_symmetry, check_symplecticity, symplectic, upsilon_from
+from erkn import METHODS, NU_GRID, check_symmetry, check_symplecticity, symplectic
 from erkn.methods import structure_reports
 from erkn.oscfun import cos, power, sinc
 
@@ -88,10 +88,11 @@ def test_a_scalar_only_weight_is_evaluated_point_by_point(name):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_grid_point_is_refused(bad):
-    """Both checkers refuse a grid with a nan or inf point, naming the first
-    one, instead of skipping it or failing in `math`."""
+    """Both checkers and the reports that bundle them refuse a grid with a nan
+    or inf point, naming the first one, instead of skipping it or failing in
+    `math`."""
     m = METHODS["ERKN3"]
     for grid in ([bad], [0.5, bad, 2.0, -bad], np.array([1.0, 2.0, bad])):
-        for checker in (check_symmetry, check_symplecticity, structure_reports, upsilon_from):
+        for checker in (check_symmetry, check_symplecticity, structure_reports):
             with pytest.raises(ValueError, match=f"^non-finite grid point nu = {bad}$"):
                 checker(m, grid)

@@ -1,5 +1,6 @@
 """Command line wiring: formats, filenames, exit codes, determinism."""
 
+import inspect
 import io
 import math
 import os
@@ -32,6 +33,7 @@ from erkn.cli import (
 )
 from erkn import METHODS, NU_GRID, TrigMethod, cli, methods, verify
 from erkn.methods import check_reports, nu_grid_reports
+from erkn.splitting import filter_refusal
 
 
 def run_cfg(tmp_path, **kw):
@@ -332,8 +334,8 @@ def test_check_reuses_each_methods_nu_grid_report(check_grid):
     per-method memo `nu_grid_reports` (and no more at nu <= 10) and the stretch
     beyond 10 from one scan; joined, the two equal the reports on the whole
     grid, also for methods whose residual is worst beyond 10, and the joined
-    symmetry report refuses the kick filter as `upsilon_from` does on the
-    whole grid."""
+    symmetry report refuses the kick filter as `filter_refusal` does on the
+    whole grid's report, while NU_GRID's lets `upsilon_from` return."""
     def drifted(eps: float) -> erkn.ErknMethod:  # ERKN2 off by eps, more beyond nu = 10
         return erkn.ErknMethod(
             f"drift{eps:g}", 0.5, bbar=lambda nu: 0.5 * erkn.sinc(0.5 * nu),
@@ -350,9 +352,10 @@ def test_check_reuses_each_methods_nu_grid_report(check_grid):
     report = erkn.check_symmetry(drifting[0], grid)
     assert nu_grid_reports(drifting[0])[0].passed and not report.passed
     assert check_reports(drifting[0], 23.0)[0] == report
-    with pytest.raises(erkn.NonSymmetricMethod,
-                       match=f"^symmetry residual {report.max_residual:.3e} exceeds "):
-        erkn.upsilon_from(drifting[0], grid)
+    refusal = filter_refusal(drifting[0], report)
+    assert isinstance(refusal, erkn.NonSymmetricMethod)
+    assert str(refusal).startswith(f"symmetry residual {report.max_residual:.3e} exceeds ")
+    assert erkn.upsilon_from(drifting[0])(0.0) == 1.0
     assert nu_grid_reports.cache_info().maxsize == len(METHODS)
 
 
@@ -484,6 +487,13 @@ def test_main_sweep_defaults_come_from_experiment_config(tmp_path, capsys):
     assert "(10001 samples)" in capsys.readouterr().out
 
 
+def test_cmd_check_defaults_come_from_experiment_config():
+    """`check` reports at the (h, omega) that `run` integrates by default."""
+    defaults = inspect.signature(cmd_check).parameters
+    assert (defaults["h"].default, defaults["omega"].default) == \
+        (ExperimentConfig.h, ExperimentConfig.omega)
+
+
 # Invalid numeric input, as (command, arguments): each must exit 2 with one
 # error line, no traceback and no output file.
 INVALID_NUMBERS = [
@@ -577,19 +587,42 @@ def test_main_check_reports_a_vanishing_weight(capsys):
 
 def test_console_main_exits_3_without_a_traceback_when_stdout_closes():
     """A reader that leaves early (`erkn check ERKN3 | true`) closes the pipe
-    under stdout; the CLI exits with the I/O code and prints nothing."""
+    under stdout; the CLI exits with the I/O code and prints nothing. So does
+    any other failed write to stdout or stderr (a full device), and a stdout
+    that is closed at start."""
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the first write
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(erkn.__file__).parents[1])
     commands = (["check", "ERKN3"], ["run", "--method", "ERKN2", "--t-end", "1", "-o", os.devnull])
+
+    def erkn_exit(argv, stdout, stderr=subprocess.PIPE, **env_extra):
+        proc = subprocess.run([sys.executable, "-m", "erkn", *argv], stdout=stdout,
+                              stderr=stderr, env={**env, **env_extra}, timeout=120)
+        return proc.returncode, proc.stderr
+
     try:
         # buffered, the write fails at the final flush; unbuffered, in print
         for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
             for argv in commands:
-                proc = subprocess.run([sys.executable, "-m", "erkn", *argv], stdout=write_end,
-                                      stderr=subprocess.PIPE, env={**env, **unbuffered},
-                                      timeout=120)
-                assert (proc.returncode, proc.stderr) == (EXIT_IO, b""), (argv, unbuffered)
+                assert erkn_exit(argv, write_end, **unbuffered) == (EXIT_IO, b""), \
+                    (argv, unbuffered)
     finally:
         os.close(write_end)
+
+    def closing(fd):  # the erkn command line, run with fd closed at start
+        return [sys.executable, "-c", f"import os, sys; os.close({fd}); os.execv(sys.argv[1], "
+                "sys.argv[1:])", sys.executable, "-m", "erkn", "check", "ERKN3"]
+
+    # stdout closed at start: Python has no sys.stdout
+    proc = subprocess.run(closing(1), stderr=subprocess.PIPE, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (EXIT_IO, b"")
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this host")
+    with open("/dev/full", "wb") as full:
+        for argv in commands:
+            assert erkn_exit(argv, full) == (EXIT_IO, b""), argv
+        # a usage error whose message cannot be written
+        assert erkn_exit(["check", "NOPE"], subprocess.DEVNULL, stderr=full) == (EXIT_IO, None)
+        # a failed write to stdout while Python has no sys.stderr
+        assert subprocess.run(closing(2), stdout=full, env=env, timeout=120).returncode == EXIT_IO

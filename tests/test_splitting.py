@@ -34,6 +34,7 @@ from erkn import (
 )
 from erkn.cli import cmd_check
 from erkn.methods import nu_grid_reports
+from erkn.splitting import filter_refusal
 
 SYMMETRIC = ("ERKN2", "ERKN3", "ERKN4")
 
@@ -195,17 +196,20 @@ def perturbed_erkn2(eps: float, freq: float, phase: float):
        st.floats(0.0, 2.0 * math.pi), st.floats(10.0, 200.0, exclude_min=True))
 def test_the_kick_filter_exists_exactly_when_the_method_is_symmetric(check_grid, eps, freq,
                                                                     phase, nu):
-    """On NU_GRID and on `check`'s grid to nu, `upsilon_from` returns exactly
-    when `check_symmetry` passes, and `check`'s kick-filter line says what
-    `upsilon_from` does on the whole check grid."""
+    """On NU_GRID `upsilon_from` returns exactly when `check_symmetry` passes,
+    on `check`'s grid to nu `filter_refusal` refuses exactly when it fails, and
+    `check`'s kick-filter line says what `filter_refusal` does on that grid."""
     m = perturbed_erkn2(eps, freq, phase)
-    for grid in (NU_GRID, check_grid(nu)):
-        try:
-            ups = upsilon_from(m, grid)
-            line = f"kick filter: available (Upsilon(0) = {ups(0.0):g})"
-        except NonSymmetricMethod as exc:
-            ups, line = None, f"kick filter: NonSymmetricMethod: perturbed: {exc}"
-        assert (ups is not None) == check_symmetry(m, grid).passed, (grid[-1], eps)
+    try:
+        ups = upsilon_from(m)
+    except NonSymmetricMethod:
+        ups = None
+    assert (ups is not None) == check_symmetry(m, NU_GRID).passed, eps
+    sym = check_symmetry(m, check_grid(nu))
+    refusal = filter_refusal(m, sym)
+    assert (refusal is None) == sym.passed, (nu, eps)
+    line = (f"kick filter: NonSymmetricMethod: perturbed: {refusal}" if refusal is not None
+            else f"kick filter: available (Upsilon(0) = {ups(0.0):g})")
     buf = io.StringIO()
     with mock.patch.dict(METHODS, perturbed=m):
         assert cmd_check("perturbed", h=1.0, omega=nu, out=buf) == 0

@@ -20,6 +20,9 @@ from erkn import (
     drift_coefficients,
     drift_series,
     drift_stats,
+    erkn_step,
+    flow_kick,
+    flow_linear,
     fpu_system,
     hamiltonian,
     linear_system,
@@ -28,9 +31,11 @@ from erkn import (
     sigma,
     sinc,
     stepper,
+    strang_lnl_step,
     structure_defects,
     symplecticity_defect,
     trig_method_from,
+    trig_step_composed,
     verify,
 )
 
@@ -99,15 +104,31 @@ def test_symplecticity_defect_validates_eps(fpu3):
 
 
 def test_probes_reject_a_state_of_another_size(fpu3):
-    """A 1-d state would broadcast against the 6-d lattice's coefficients."""
+    """Every entry point that takes a `State` refuses one of another size: a
+    1-d state would broadcast against the 6-d lattice's coefficients (or the
+    stepper would spread it over the whole lattice)."""
     small = State([1.0], [1.0])
+    m = METHODS["ERKN2"]
+    tm = trig_method_from(m)
     probes = [
-        lambda: adjoint_defect(METHODS["ERKN2"], fpu3, 0.1, small),
-        lambda: symplecticity_defect(METHODS["ERKN2"], fpu3, 0.1, small),
-        lambda: conjugacy_check(METHODS["ERKN2"], fpu3, 0.1, small, 2),
+        lambda: flow_linear(fpu3.partition, 0.1, small),
+        lambda: flow_kick(fpu3, tm.upsilon, 0.1, small),
+        lambda: strang_lnl_step(m, fpu3, 0.1, small),
+        lambda: trig_step_composed(tm, fpu3, 0.1, small),
+        lambda: conjugacy_check(m, fpu3, 0.1, small, 2),
         lambda: oscillatory_energy(fpu3.partition, small),
         lambda: hamiltonian(fpu3, small),
     ]
+    short = dataclasses.replace(fpu3, initial=small)
+    for method in (m, tm):  # one-stage and kick-first; a default binds each
+        probes += [
+            lambda method=method: stepper(method, fpu3, 0.1)(small),
+            lambda method=method: erkn_step(method, fpu3, 0.1, small),
+            lambda method=method: adjoint_defect(method, fpu3, 0.1, small),
+            lambda method=method: symplecticity_defect(method, fpu3, 0.1, small),
+            lambda method=method: structure_defects(method, fpu3, 0.1, small),
+            lambda method=method: drift_coefficients(method, short, 0.1, 1.0),
+        ]
     for probe in probes:
         with pytest.raises(ValueError, match="does not match"):
             probe()
