@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
 import os
 import sys as _sys
 from dataclasses import astuple, dataclass
@@ -26,7 +25,7 @@ from typing import Iterator, Optional, Sequence, TextIO, Union
 import numpy as np
 
 from .methods import METHODS, check_reports
-from .splitting import NonSymmetricMethod, filter_refusal, trig_method_from
+from .splitting import NonSymmetricMethod, filter_refusal, trig_method_from, upsilon_from
 from .systems import Partition, System, energies, fpu_system, linear_system
 from . import verify
 from .verify import (  # drift_series stays a cli attribute: perfbench's tracer wraps it here
@@ -217,24 +216,23 @@ def cmd_check(
     method: str,
     h: float = ExperimentConfig.h,
     omega: float = ExperimentConfig.omega,
-    c: float = 1.0,
-    c0: float = 0.1,
-    sigma_lo: float = 0.1,
-    sigma_hi: float = 10.0,
     out: Optional[TextIO] = None,
     err: Optional[TextIO] = None,
+    **bounds: float,
 ) -> int:
+    """One method's structure and assumption report; `bounds` go to `assumption_report`."""
     out = out if out is not None else _sys.stdout
     err = err if err is not None else _sys.stderr
     if method not in METHODS:
         print(f"error: unknown method {method!r}; valid: {', '.join(METHODS)}", file=err)
         return EXIT_USAGE
-    numbers = (h, omega, h * omega, c, c0, sigma_lo, sigma_hi)
-    if not (all(map(math.isfinite, numbers)) and h > 0.0 and omega >= 0.0 and c > 0.0):
-        print("error: need finite numbers with h > 0, omega >= 0 and c > 0", file=err)
-        return EXIT_USAGE
     m = METHODS[method]
-    sym, sp = check_reports(m, h * omega)
+    try:
+        rep = assumption_report(m, h, omega, **bounds)
+    except ValueError as exc:
+        print(f"error: {exc}", file=err)
+        return EXIT_USAGE
+    sym, sp = check_reports(m, rep.h_omega)
     print(f"method {m.name}: c1 = {m.c1:g}", file=out)
     print(
         f"symmetric: {'pass' if sym.passed else 'fail'} "
@@ -249,17 +247,15 @@ def cmd_check(
     refusal = filter_refusal(m, sym)
     if refusal is not None:
         print(f"kick filter: {type(refusal).__name__}: {m.name}: {refusal}", file=out)
-    else:  # Upsilon(0) = b(0)/cos(0)
-        print(f"kick filter: available (Upsilon(0) = {m.b(0.0):g})", file=out)
-
-    rep = assumption_report(m, h, omega, c=c, c0=c0, sigma_lo=sigma_lo, sigma_hi=sigma_hi)
+    else:
+        print(f"kick filter: available (Upsilon(0) = {upsilon_from(m)(0.0):g})", file=out)
     print(
         f"non-resonance: max N = {rep.max_N} "
-        f"(|sin(k*h*omega/2)| >= {c:g}*sqrt(h) up to k = N)",
+        f"(|sin(k*h*omega/2)| >= {rep.c:g}*sqrt(h) up to k = N)",
         file=out,
     )
     print(
-        f"stepsize floor: h*omega = {rep.h_omega:g} >= c0 = {c0:g}: "
+        f"stepsize floor: h*omega = {rep.h_omega:g} >= c0 = {rep.c0:g}: "
         f"{'pass' if rep.h_condition_pass else 'fail'}",
         file=out,
     )
@@ -269,7 +265,7 @@ def cmd_check(
         print(
             f"sigma: sigma(0) = {rep.sigma_at_0:.12g}, "
             f"sigma(h*omega) = {rep.sigma_at_nu:.12g}, "
-            f"bounds [{sigma_lo:g}, {sigma_hi:g}]: "
+            f"bounds [{rep.sigma_lo:g}, {rep.sigma_hi:g}]: "
             f"{'pass' if rep.sigma_pass else 'fail'}",
             file=out,
         )
@@ -341,15 +337,21 @@ def _str_list(text: str) -> list[str]:
     return [tok.strip() for tok in text.split(",") if tok.strip()]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # argparse's own ignores a failed write; this one raises
+        _sys.stderr.write(f"{self.format_usage()}{self.prog}: error: {message}\n")
+        raise SystemExit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="erkn",
         description="Oscillatory-Hamiltonian integrator benchmarks and structure checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # An option not given stays out of the parsed namespace, so its default
-    # lives in ExperimentConfig or cmd_check alone. These trajectory settings
-    # are shared by run and sweep.
+    # lives in ExperimentConfig, cmd_check or assumption_report alone. These
+    # trajectory settings are shared by run and sweep.
     trajectory = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     trajectory.add_argument("--problem", choices=["fpu", "linear"])
     trajectory.add_argument("--m", type=int, help=f"block size (d1 = d2 = m <= {MAX_M})")
@@ -406,6 +408,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def console_main() -> None:
     if _sys.stdout is None:  # started with stdout closed: no report could be written
         raise SystemExit(EXIT_IO)
+    if _sys.stderr is None:  # started with stderr closed: a write to it fails, as to a full device
+        _sys.stderr = open(os.devnull)  # read-only, so every write raises an OSError
     try:
         code = main()
         _sys.stdout.flush()  # output still buffered for a pipe fails here
@@ -413,7 +417,7 @@ def console_main() -> None:
         # a write to stdout or stderr failed (a reader that left early, a full device);
         # both go to devnull so that the flushes at interpreter exit stay quiet too
         devnull = os.open(os.devnull, os.O_WRONLY)
-        for stream in filter(None, (_sys.stdout, _sys.stderr)):  # None: closed at start
+        for stream in (_sys.stdout, _sys.stderr):
             os.dup2(devnull, stream.fileno())
         code = EXIT_IO
     raise SystemExit(code)

@@ -48,45 +48,42 @@ Method = Union[ErknMethod, TrigMethod]
 FD_EPS = 1e-5  # the central-difference step of `symplecticity_defect`
 
 
-def adjoint_defect(m: Method, sys: System, h: float, s: State) -> float:
-    """Sup-norm of step(-h)(step(h)(s)) - s; zero for a symmetric map."""
-    part, force, z = sys.partition, sys.force, sys.partition.check_state(s)
-    once = advance(force, m.coefficients(part, h), z)
-    return _state_dev(advance(force, m.coefficients(part, -h), once), z)
-
-
-def _symplecticity_defect(sys: System, c: Coefficients, z: np.ndarray,
-                          fd_eps: float) -> tuple[float, np.ndarray]:
-    d = sys.partition.dim
+def _structure_pair(m: Method, sys: System, h: float, s: State,
+                    fd_eps: float) -> tuple[float, float]:
+    """The (adjoint, symplecticity) defects of the three probes, from one step of s."""
+    if not (math.isfinite(fd_eps) and fd_eps > 0.0):
+        raise ValueError("fd_eps must be finite and > 0")
+    part = sys.partition
+    z, c, d = part.check_state(s), m.coefficients(part, h), part.dim
     # one step of 4*dim perturbed states, (q, p) + fd_eps e_j in column j, then - fd_eps e_j,
-    # and of z itself in the last column, which is returned with the defect
-    eye, z = np.eye(2 * d), z.reshape(2 * d, 1)
-    block = np.hstack((z + fd_eps * np.hstack((eye, -eye)), z)).reshape(2, d, 4 * d + 1)
+    # and of z itself in the last column, which the adjoint probe steps back
+    eye, col = np.eye(2 * d), z.reshape(2 * d, 1)
+    block = np.hstack((col + fd_eps * np.hstack((eye, -eye)), col)).reshape(2, d, 4 * d + 1)
     column = c._make(None if x is None else x[:, None] for x in c)  # broadcast over the block
     y = advance(sys.force, column, block)
     jac = (y[:, :, : 2 * d] - y[:, :, 2 * d : 4 * d]).reshape(2 * d, 2 * d) / (2.0 * fd_eps)
     jj = np.zeros((2 * d, 2 * d))
     jj[:d, d:], jj[d:, :d] = eye[:d, :d], -eye[:d, :d]
-    return float(np.max(np.abs(jac.T @ jj @ jac - jj))), y[:, :, 4 * d]
+    adjoint = _state_dev(advance(sys.force, m.coefficients(part, -h), y[:, :, 4 * d]), z)
+    return adjoint, float(np.max(np.abs(jac.T @ jj @ jac - jj)))
+
+
+def adjoint_defect(m: Method, sys: System, h: float, s: State) -> float:
+    """Sup-norm of step(-h)(step(h)(s)) - s; zero for a symmetric map."""
+    return _structure_pair(m, sys, h, s, FD_EPS)[0]
 
 
 def symplecticity_defect(m: Method, sys: System, h: float, s: State,
                          fd_eps: float = FD_EPS) -> float:
     """max |M^T J M - J| for the step Jacobian M by central differences."""
-    if not (math.isfinite(fd_eps) and fd_eps > 0.0):
-        raise ValueError("fd_eps must be finite and > 0")
-    z = sys.partition.check_state(s)
-    return _symplecticity_defect(sys, m.coefficients(sys.partition, h), z, fd_eps)[0]
+    return _structure_pair(m, sys, h, s, fd_eps)[1]
 
 
 def structure_defects(m: Method, sys: System, h: float, s: State) -> list[DefectReport]:
-    """Both probes bundled for reporting: the adjoint probe steps back the
-    step of s that the symplecticity probe's block takes."""
-    part, ctx, z = sys.partition, sys.label, sys.partition.check_state(s)
-    sp, once = _symplecticity_defect(sys, m.coefficients(part, h), z, FD_EPS)
-    adjoint = _state_dev(advance(sys.force, m.coefficients(part, -h), once), z)
-    return [DefectReport(m.name, "adjoint", adjoint, h, ctx),
-            DefectReport(m.name, "symplecticity", sp, h, ctx)]
+    """Both probes bundled for reporting, from one step of s."""
+    adjoint, sp = _structure_pair(m, sys, h, s, FD_EPS)
+    return [DefectReport(m.name, "adjoint", adjoint, h, sys.label),
+            DefectReport(m.name, "symplecticity", sp, h, sys.label)]
 
 
 def non_resonance_max_N(h: float, omega: float, c: float, k_max: int = 1000) -> int:
@@ -95,8 +92,8 @@ def non_resonance_max_N(h: float, omega: float, c: float, k_max: int = 1000) -> 
     Returns 0 if the bound already fails at k = 1. The scan is capped at
     k_max since for generic h*omega the condition can persist a long time.
     """
-    if h <= 0.0 or c <= 0.0:
-        raise ValueError("need h > 0 and c > 0")
+    if not (all(map(math.isfinite, (h, omega, h * omega, c))) and h > 0.0 and c > 0.0):
+        raise ValueError("need finite h, omega, h*omega and c with h > 0 and c > 0")
     threshold = c * math.sqrt(h)
     half = 0.5 * h * omega
     n = 0
@@ -151,8 +148,12 @@ def assumption_report(
 ) -> AssumptionReport:
     """Evaluate the non-resonance count, the stepsize floor, and the sigma bound:
     it passes iff sigma (or -sigma) lies in [sigma_lo, sigma_hi] at both nu = 0
-    and h*omega. A weight that vanishes there fails it and sets sigma_error."""
+    and h*omega. A weight that vanishes there fails it and sets sigma_error;
+    a non-finite number (h*omega too), h <= 0, omega < 0 or c <= 0 raises ValueError."""
     nu = h * omega
+    if not (all(map(math.isfinite, (h, omega, nu, c, c0, sigma_lo, sigma_hi)))
+            and h > 0.0 and omega >= 0.0 and c > 0.0):
+        raise ValueError("need finite numbers with h > 0, omega >= 0 and c > 0")
     max_n = non_resonance_max_N(h, omega, c)
     try:
         s0, s1 = sigma(m, 0.0), sigma(m, nu)

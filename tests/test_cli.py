@@ -588,7 +588,8 @@ def test_main_check_reports_a_vanishing_weight(capsys):
 def test_console_main_exits_3_without_a_traceback_when_stdout_closes():
     """A reader that leaves early (`erkn check ERKN3 | true`) closes the pipe
     under stdout; the CLI exits with the I/O code and prints nothing. So does
-    any other failed write to stdout or stderr (a full device), and a stdout
+    any other failed write to stdout or stderr (a full device, argparse's usage
+    error included), a stdout that is closed at start, and a write to a stderr
     that is closed at start."""
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the first write
@@ -610,13 +611,22 @@ def test_console_main_exits_3_without_a_traceback_when_stdout_closes():
     finally:
         os.close(write_end)
 
-    def closing(fd):  # the erkn command line, run with fd closed at start
+    def closing(fd, *argv):  # the erkn command line, run with fd closed at start
         return [sys.executable, "-c", f"import os, sys; os.close({fd}); os.execv(sys.argv[1], "
-                "sys.argv[1:])", sys.executable, "-m", "erkn", "check", "ERKN3"]
+                "sys.argv[1:])", sys.executable, "-m", "erkn", *(argv or ("check", "ERKN3"))]
 
     # stdout closed at start: Python has no sys.stdout
     proc = subprocess.run(closing(1), stderr=subprocess.PIPE, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (EXIT_IO, b"")
+    # stderr closed at start: an error, usage or warning line fails to be written,
+    # and none of it reaches stdout; a command that writes no stderr still reports
+    blowup = ["run", "--method", "ERKN2", "--h", "1", "--t-end", "50", "-o", os.devnull]
+    for argv in (["check", "NOPE"], ["run"], blowup):
+        proc = subprocess.run(closing(2, *argv), stdout=subprocess.PIPE, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (EXIT_IO, b""), argv
+    proc = subprocess.run(closing(2, "check", "ERKN2"), stdout=subprocess.PIPE, env=env,
+                          timeout=120)
+    assert proc.returncode == EXIT_OK and proc.stdout.startswith(b"method ERKN2: c1 = 0.5\n")
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this host")
     with open("/dev/full", "wb") as full:
@@ -624,5 +634,6 @@ def test_console_main_exits_3_without_a_traceback_when_stdout_closes():
             assert erkn_exit(argv, full) == (EXIT_IO, b""), argv
         # a usage error whose message cannot be written
         assert erkn_exit(["check", "NOPE"], subprocess.DEVNULL, stderr=full) == (EXIT_IO, None)
+        assert erkn_exit(["run"], subprocess.DEVNULL, stderr=full) == (EXIT_IO, None)  # argparse's
         # a failed write to stdout while Python has no sys.stderr
         assert subprocess.run(closing(2), stdout=full, env=env, timeout=120).returncode == EXIT_IO

@@ -1,15 +1,15 @@
 """The probe paths against the routes they replaced, bit for bit.
 
 Each probe builds every set of diagonals once per call: one expansion per
-coefficient build, one step-h build shared by the two structure probes, the
-rotations and the kick filter of `conjugacy_check` taken once and stepped on
-arrays, and one pass over the weights for both structure reports. The oracles
-below are the implementations that came before, kept here as references:
-`block_expand` of one function, the `State`-level flows and probes, and the
-scalar loops of `check_symmetry` and `check_symplecticity`. `advance` and
-`erkn_step` are held to n calls of one bound kernel, and `check_reports` to
-one scan of the per-point check grid. Every float must equal the oracle's,
-compared by `float.hex` (or by bytes for arrays).
+coefficient build, one step-h build and one step of s shared by the three
+structure probes, the rotations and the kick filter of `conjugacy_check` taken
+once and stepped on arrays, and one pass over the weights for both structure
+reports. The oracles below are the implementations that came before, kept here
+as references: `block_expand` of one function, the `State`-level flows and
+probes, and the scalar loops of `check_symmetry` and `check_symplecticity`.
+`advance` and `erkn_step` are held to n calls of one bound kernel, and
+`check_reports` to one scan of the per-point check grid. Every float must equal
+the oracle's, compared by `float.hex` (or by bytes for arrays).
 """
 
 import dataclasses
@@ -29,6 +29,7 @@ from erkn import (
     State,
     System,
     TrigMethod,
+    adjoint_defect,
     cli,
     conjugacy_check,
     erkn_step,
@@ -40,6 +41,7 @@ from erkn import (
     strang_lnl_step,
     structure_defects,
     symplectic,
+    symplecticity_defect,
     trig_method_from,
     trig_step_composed,
     upsilon_from,
@@ -215,6 +217,10 @@ def defect_values(m, sys, h, s) -> list:
     return [r.defect for r in structure_defects(m, sys, h, s)]
 
 
+def probe_values(m, sys, h, s) -> list:
+    return [adjoint_defect(m, sys, h, s), symplecticity_defect(m, sys, h, s)]
+
+
 def conjugacy_values(m, sys, h, s, n) -> list:
     r = conjugacy_check(m, sys, h, s, n)
     return [r.max_deviation, r.deviation_shifted, r.deviation_interior]
@@ -247,8 +253,9 @@ def test_coefficients_and_rotations_equal_the_per_function_expansion(point):
 def test_structure_defects_equal_the_state_level_route(point):
     sys, h, c1, s = point
     for m in probe_methods(c1):
-        assert outcome(defect_values, m, sys, h, s) == \
-               outcome(old_structure_defects, m, sys, h, s), m.name
+        want = outcome(old_structure_defects, m, sys, h, s)
+        assert outcome(defect_values, m, sys, h, s) == want, m.name
+        assert outcome(probe_values, m, sys, h, s) == want, m.name
 
 
 @PROPERTY

@@ -155,10 +155,12 @@ def test_non_resonance_caps_at_k_max():
 
 
 def test_non_resonance_validation():
-    with pytest.raises(ValueError):
-        non_resonance_max_N(0.0, 50.0, 1.0)
-    with pytest.raises(ValueError):
-        non_resonance_max_N(0.1, 50.0, 0.0)
+    for h, omega, c in ((0.0, 50.0, 1.0), (0.1, 50.0, 0.0), (math.nan, 50.0, 1.0),
+                        (0.1, 50.0, math.nan), (0.1, math.nan, 1.0), (math.inf, 50.0, 1.0),
+                        (0.1, math.inf, 1.0), (0.1, -math.inf, 1.0), (0.1, 50.0, math.inf),
+                        (1e200, 1e200, 1.0)):
+        with pytest.raises(ValueError, match="need finite h, omega"):
+            non_resonance_max_N(h, omega, c)
 
 
 def test_sigma_of_impulse_method_is_one():
@@ -226,6 +228,18 @@ def test_assumption_report_evaluates_sigma_once_per_point(name, lo, hi):
         assert rep.sigma_pass == (lo <= s0 <= hi and lo <= s1 <= hi
                                   or lo <= -s0 <= hi and lo <= -s1 <= hi)
         assert (rep.sigma_at_0, rep.sigma_at_nu) == (s0, s1)
+
+
+@pytest.mark.parametrize("h, omega, bounds", [
+    (math.nan, 50.0, {}), (0.0, 50.0, {}), (-0.1, 50.0, {}), (0.1, -1.0, {}),
+    (0.1, math.inf, {}), (1e200, 1e200, {}), (0.1, 50.0, {"c": 0.0}), (0.1, 50.0, {"c": -1.0}),
+    (0.1, 50.0, {"c0": math.nan}), (0.1, 50.0, {"sigma_lo": math.nan}),
+    (0.1, 50.0, {"sigma_hi": math.nan}),
+])
+def test_assumption_report_refuses_invalid_input(h, omega, bounds):
+    msg = "need finite numbers with h > 0, omega >= 0 and c > 0"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        assumption_report(METHODS["ERKN2"], h, omega, **bounds)
 
 
 def test_assumption_report_survives_resonant_nu():
