@@ -20,7 +20,6 @@ from .oscfun import block_expand, sinc
 from .splitting import (
     ConjugacyReport,
     NonSymmetricMethod,
-    ResonantStepsize,
     TrigMethod,
     conjugacy_check,
     flow_kick,

@@ -307,12 +307,13 @@ def nu_grid_reports(m: ErknMethod) -> tuple[SymmetryReport, SymplecticityReport]
 def check_reports(m: ErknMethod, nu: float) -> tuple[SymmetryReport, SymplecticityReport]:
     """`check`'s structure reports at the operating point nu: `nu_grid_reports`,
     joined beyond 10 (passing on both, keeping the larger residual) with one scan
-    of at most 1000 evenly spaced points on (10, nu], the last nu itself."""
+    of at most 1000 evenly spaced points on (10, nu], the last nu itself (each offset
+    (nu - 10) k/n formed at scale 2^-10, which keeps its bits and keeps it finite)."""
     reports = nu_grid_reports(m)
-    n = min(1000, math.ceil(10.0 * (nu - 10.0)))
+    n = math.ceil(10.0 * min(nu - 10.0, 100.0))
     if n <= 0:
         return reports
-    stretch = nu - (nu - 10.0) * np.arange(n - 1, -1, -1) / n
+    stretch = nu - (nu - 10.0) / 1024.0 * np.arange(n - 1, -1, -1) / n * 1024.0
     return tuple(replace(a, passed=a.passed and b.passed,
                          max_residual=max(a.max_residual, b.max_residual))
                  for a, b in zip(reports, structure_reports(m, stretch)))

@@ -20,16 +20,12 @@ import numpy as np
 
 from .methods import (COEFF_TOL, Coefficients, ErknMethod, SymmetryReport, advance, bound_force,
                       nu_grid_reports, rotation, stepper)
-from .oscfun import block_expand
+from .oscfun import block_expand, sinc
 from .systems import Partition, State, System
 
 
 class NonSymmetricMethod(ValueError):
     """Kick filter requested for a method outside the symmetric family."""
-
-
-class ResonantStepsize(ValueError):
-    """h*omega sits on a pole of the kick filter."""
 
 
 FILTER_POLE_TOL = 1e-8
@@ -94,8 +90,8 @@ def upsilon_from(m: ErknMethod) -> Callable[[float], float]:
 
     Refused (`filter_refusal`) exactly when `check_symmetry` fails on NU_GRID
     (`nu_grid_reports`), since its relation (1 + cos nu) bbar = sinc(nu) b is
-    2 bbar/sinc(nu/2) = b/cos(nu/2) off the poles: one filter gives both
-    weights. The returned function refuses arguments on a pole of cos(nu/2).
+    2 bbar/sinc(nu/2) = b/cos(nu/2): one filter gives both weights. It is the first
+    quotient where |cos(nu/2)| < FILTER_POLE_TOL, so it is defined at every finite nu.
     """
     refusal = filter_refusal(m, nu_grid_reports(m)[0])
     if refusal is not None:
@@ -103,10 +99,8 @@ def upsilon_from(m: ErknMethod) -> Callable[[float], float]:
 
     def upsilon(nu: float) -> float:
         cc = math.cos(0.5 * nu)
-        if abs(cc) < FILTER_POLE_TOL:
-            raise ResonantStepsize(
-                f"filter pole: |cos(nu/2)| = {abs(cc):.2e} at nu = {nu:g}"
-            )
+        if abs(cc) < FILTER_POLE_TOL:  # sin(nu/2) is +-1 here, so sinc(nu/2) is not 0
+            return 2.0 * m.bbar(nu) / sinc(0.5 * nu)
         return m.b(nu) / cc
 
     return upsilon

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from erkn import (
     METHODS,
     NU_GRID,
+    ErknMethod,
     NonSymmetricMethod,
     Partition,
-    ResonantStepsize,
     State,
     check_symmetry,
     conjugacy_check,
@@ -34,7 +34,7 @@ from erkn import (
 )
 from erkn.cli import cmd_check
 from erkn.methods import nu_grid_reports
-from erkn.splitting import filter_refusal
+from erkn.splitting import FILTER_POLE_TOL, filter_refusal
 
 SYMMETRIC = ("ERKN2", "ERKN3", "ERKN4")
 
@@ -223,10 +223,35 @@ def test_filter_inconsistency_size():
     assert dev == pytest.approx(1.0 - sinc(1.0), rel=1e-12)
 
 
-def test_filter_refuses_resonant_argument():
-    ups = upsilon_from(METHODS["ERKN2"])
-    with pytest.raises(ResonantStepsize):
-        ups(math.pi)
+def test_impulse_filter_is_one_at_pi():
+    """At nu = pi, where cos(nu/2) vanishes, ERKN2's filter is 2 bbar/sinc(nu/2) = 1."""
+    assert upsilon_from(METHODS["ERKN2"])(math.pi) == 1.0
+
+
+# A symmetric method written by hand, with filter exp(-nu^2/100): b = Upsilon cos(nu/2)
+# and bbar = Upsilon sinc(nu/2)/2, on float weights only
+HAND = ErknMethod("hand", 0.5, bbar=lambda nu: 0.5 * sinc(0.5 * nu) * math.exp(-0.01 * nu * nu),
+                  b=lambda nu: math.cos(0.5 * nu) * math.exp(-0.01 * nu * nu))
+
+
+def test_the_filter_and_both_routes_hold_where_cos_half_nu_vanishes():
+    """At h*omega = (2k+1) pi the filter is 2 bbar(nu)/sinc(nu/2), bit for bit,
+    and the Strang step and the conjugate scheme match the method there; off
+    that band it is b(nu)/cos(nu/2), bit for bit, as before."""
+    h = 0.1
+    for m in [*(METHODS[n] for n in SYMMETRIC), HAND]:
+        ups = upsilon_from(m)
+        for k in (0, 1, 5):
+            nu = (2 * k + 1) * math.pi
+            sys = fpu_system(3, nu / h)
+            assert abs(math.cos(0.5 * h * sys.partition.omega)) < FILTER_POLE_TOL
+            assert ups(nu).hex() == (2 * m.bbar(nu) / sinc(nu / 2)).hex(), (m.name, k)
+            assert conjugacy_check(m, sys, h, sys.initial, n=100).max_deviation <= 1e-9, (m.name, k)
+            a, b = strang_lnl_step(m, sys, h, sys.initial), erkn_step(m, sys, h, sys.initial)
+            assert sup_dev(a, b) <= 1e-14, (m.name, k)
+        for nu in (0.01 * k for k in range(10001)):
+            if abs(math.cos(nu / 2)) >= FILTER_POLE_TOL:
+                assert ups(nu).hex() == (m.b(nu) / math.cos(nu / 2)).hex(), (m.name, nu)
 
 
 def test_connection_identities_on_grid():

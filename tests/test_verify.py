@@ -161,6 +161,9 @@ def test_non_resonance_validation():
                         (1e200, 1e200, 1.0)):
         with pytest.raises(ValueError, match="need finite h, omega"):
             non_resonance_max_N(h, omega, c)
+    # h*omega is finite, but the scan reaches a phase k*h*omega/2 that is not
+    with pytest.raises(ValueError, match=r"the phase k\*h\*omega/2 = 4\*5e\+307 overflows"):
+        non_resonance_max_N(1.0, 1e308, 1e-3)
 
 
 def test_sigma_of_impulse_method_is_one():
