@@ -138,7 +138,7 @@ def _prepare(
     one error line printed, if any cell is invalid (`resolve_method`,
     `build_problem` or `drift_coefficients` fails), two cells would write the
     same CSV, or the cells together would take more than `verify.MAX_SAMPLES`
-    samples, all of which `_run_cells` holds before its first write."""
+    samples, the most that `_run_cells` could hold at once."""
     resolve = functools.cache(resolve_method)  # one resolution per distinct name
     build = functools.cache(build_problem)  # one system per distinct (problem, m, omega)
     cells, outputs = [], set()
@@ -166,19 +166,18 @@ def _run_cells(
     cells: Sequence[tuple[ExperimentConfig, DriftCell]], out: TextIO, err: TextIO
 ) -> Iterator[tuple[int, Optional[DriftStats]]]:
     """The run path of `run` and `sweep`, for cells that `_prepare` built
-    and that share problem, m, t_end and stride: one `drift_engine` call per
-    h, one-stage and kick-first cells alike, then in cell order the drift CSV
-    of the engine's rows and (exit code, drift statistics) of each cell. A
-    blow-up writes the finite prefix and yields EXIT_BLOWUP with its
-    statistics; a failed write yields EXIT_IO and ends the run."""
-    results = {}
-    for h in dict.fromkeys(cfg.h for cfg, _ in cells):
-        members = [i for i, (cfg, _) in enumerate(cells) if cfg.h == h]
-        cfg = cells[members[0]][0]
-        batch = drift_engine([cells[i][1] for i in members], h, cfg.t_end, cfg.stride)
-        results.update(zip(members, batch))
-
+    and that share problem, m, t_end and stride: in cell order, the drift CSV
+    of the engine's rows and (exit code, drift statistics) of each cell. The
+    first cell of each h makes the one `drift_engine` call over every cell of
+    that h, one-stage and kick-first alike, so a CSV is written before any
+    later h runs. A blow-up writes the finite prefix and yields EXIT_BLOWUP
+    with its statistics; a failed write yields EXIT_IO and ends the run."""
+    results = {}  # the engine's rows of the cells not yet written
     for i, (cfg, _) in enumerate(cells):
+        if i not in results:  # the first cell of its h
+            members = [j for j, (other, _) in enumerate(cells) if other.h == cfg.h]
+            batch = drift_engine([cells[j][1] for j in members], cfg.h, cfg.t_end, cfg.stride)
+            results.update(zip(members, batch))
         rows, blowup = results.pop(i)
         if blowup is not None:
             print(f"warning: {blowup}; writing partial series", file=err)

@@ -87,21 +87,25 @@ def structure_defects(m: Method, sys: System, h: float, s: State) -> list[Defect
 
 
 def non_resonance_max_N(h: float, omega: float, c: float, k_max: int = 1000) -> int:
-    """Largest N with |sin(k h omega / 2)| >= c sqrt(h) for every k <= N.
+    """Largest N with |sin(k h omega / 2)| >= c sqrt(h) for every k <= N, for
+    the double h*omega that `check` prints and the exact phases k*(h*omega)/2.
 
-    Returns 0 if the bound already fails at k = 1. The scan is capped at
-    k_max since for generic h*omega the condition can persist a long time.
+    Returns 0 if the bound already fails at k = 1; the scan stops at k_max.
     A phase k h omega / 2 that overflows before the scan stops raises ValueError.
     """
     if not (all(map(math.isfinite, (h, omega, h * omega, c))) and h > 0.0 and c > 0.0):
         raise ValueError("need finite h, omega, h*omega and c with h > 0 and c > 0")
     threshold = c * math.sqrt(h)
-    half = 0.5 * h * omega
+    half = 0.5 * (h * omega)
+    def sin_phase(k: int) -> float:  # sin(p + e), the exact k*half: p = k*half rounded, e its error
+        (pn, pd), (hn, hd) = (k * half).as_integer_ratio(), half.as_integer_ratio()
+        p, e = k * half, (k * hn * pd - pn * hd) / (hd * pd)  # exact: int / int rounds once
+        return math.sin(p) * math.cos(e) + math.cos(p) * math.sin(e)
     n = 0
     try:
-        while n < k_max and abs(math.sin((n + 1) * half)) >= threshold:
+        while n < k_max and abs(sin_phase(n + 1)) >= threshold:
             n += 1
-    except ValueError:  # math.sin(inf)
+    except OverflowError:  # (k * half).as_integer_ratio() of inf
         raise ValueError(f"the phase k*h*omega/2 = {n + 1}*{half:g} overflows") from None
     return n
 

@@ -1,5 +1,6 @@
 """Command line wiring: formats, filenames, exit codes, determinism."""
 
+import contextlib
 import inspect
 import io
 import math
@@ -7,10 +8,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import erkn
 
@@ -281,9 +287,10 @@ def test_a_sweep_refuses_cells_that_share_a_csv(tmp_path, capsys, grid):
 
 
 def test_a_sweep_bounds_the_samples_of_all_its_cells(tmp_path, capsys, monkeypatch):
-    """The cells of a sweep together may take at most MAX_SAMPLES samples,
-    since all their rows are held before the first CSV is written; each cell
-    alone fits in the bound at which the sweep is refused."""
+    """The cells of a sweep together may take at most MAX_SAMPLES samples: the
+    run path runs the cells of one h when the first of them is due, but h
+    varies fastest in a sweep, so the rows of every cell may be held at once;
+    each cell alone fits in the bound at which the sweep is refused."""
     argv = ["sweep", "--methods", "ERKN2,trig:ERKN3", "--omegas", "50,200", "--hs", "0.1,0.05",
             "--t-end", "10", "--stride", "3", "--outdir", str(tmp_path / "grid")]
     per_cell = [verify.sample_count(h, 10.0, 3) for h in (0.1, 0.05)]  # 35 and 68
@@ -418,6 +425,93 @@ def test_cmd_sweep_io_errors(tmp_path):
                      out=io.StringIO(), err=err) == EXIT_IO
     assert err.getvalue().startswith("error: cannot write summary: ")
     assert (outdir / "ERKN2_w50_h0.1.csv").is_file()
+
+
+def test_each_h_batch_runs_when_its_first_cell_is_due(tmp_path, monkeypatch):
+    """A sweep runs the cells of one h when the first of them is due, after
+    the CSVs of the cells before it are written: the h = 0.1 CSV is on disk
+    when h = 0.05 runs, and a failed write of the h = 0.05 CSV ends the sweep
+    before h = 0.01 runs."""
+    calls = []
+
+    def spy(cells, h, *args):
+        calls.append((h, sorted(p.name for p in outdir.iterdir())))
+        return verify.drift_engine(cells, h, *args)
+
+    monkeypatch.setattr(cli, "drift_engine", spy)
+    outdir = tmp_path / "blocked"
+    (outdir / "ERKN2_w50_h0.05.csv").mkdir(parents=True)
+    assert cmd_sweep(["ERKN2"], [50.0], [0.1, 0.05, 0.01], 1.0, outdir,
+                     out=io.StringIO(), err=io.StringIO()) == EXIT_IO
+    assert [h for h, _ in calls] == [0.1, 0.05]
+
+    calls.clear()
+    outdir = tmp_path / "grid"
+    outdir.mkdir()
+    assert cmd_sweep(["ERKN2"], [50.0], [0.1, 0.05, 0.01], 1.0, outdir,
+                     out=io.StringIO(), err=io.StringIO()) == EXIT_OK
+    assert calls == [(0.1, []), (0.05, ["ERKN2_w50_h0.1.csv"]),
+                     (0.01, ["ERKN2_w50_h0.05.csv", "ERKN2_w50_h0.1.csv"])]
+
+
+# Pools of the CLI contract property: edge floats (non-finite, negative, zero,
+# subnormal, huge) beside ordinary ones, ints with the valid ones first, and method
+# names of the registry, of the kick-first conjugates (ERKN1 has no kick filter),
+# of a family the CLI does not offer and of none.
+CLI_EDGES = [math.nan, math.inf, -math.inf, -0.5, 0.0, 5e-324, 1e308]
+CLI_NUMBERS = [0.05, 0.1, 1.0, 50.0, 200.0]
+CLI_NAMES = [*(f"ERKN{i}" for i in range(1, 7)), "trig:ERKN2", "trig:ERKN1", "symp:0.5", "NOPE"]
+CLI_INTS = [1, 3, 7, 2**70, 0, -1]
+CELL_STEPS = 3000
+
+
+@st.composite
+def cli_argv(draw, outdir: str) -> list[str]:
+    """argv of `run`, `check` or `sweep`. A trajectory command's t_end is at
+    most CELL_STEPS of its least positive finite h, or one of the non-finite,
+    non-positive, 5e-324 and 1e308: with any h of the pool these take at most
+    one step or are refused (t_end/h overflows or exceeds MAX_STEPS)."""
+    numbers = st.sampled_from(CLI_NUMBERS) | st.sampled_from(CLI_EDGES)
+    command = draw(st.sampled_from(["run", "check", "sweep"]))
+    if command == "check":
+        options = ["h", "omega", "c", "c0", "sigma-lo", "sigma-hi"]
+        return ["check", draw(st.sampled_from(CLI_NAMES)),
+                *(f"--{name}={draw(numbers)!r}" for name in options if draw(st.booleans()))]
+    hs = draw(st.lists(numbers, min_size=1, max_size=1 if command == "run" else 2))
+    positive = [h for h in hs if 0.0 < h < math.inf]
+    if positive and draw(st.integers(0, 3)) < 3:
+        t_end = draw(st.integers(1, CELL_STEPS)) * min(positive)
+    else:
+        t_end = draw(st.sampled_from(CLI_EDGES))
+    argv = [f"--t-end={t_end!r}"]
+    if draw(st.booleans()):
+        argv.append(f"--problem={draw(st.sampled_from(['fpu', 'linear']))}")
+    for name in ("m", "stride"):
+        if draw(st.booleans()):
+            argv.append(f"--{name}={draw(st.sampled_from(CLI_INTS))}")
+    if command == "run":
+        return ["run", f"--method={draw(st.sampled_from(CLI_NAMES))}", f"--h={hs[0]!r}",
+                f"--omega={draw(numbers)!r}", f"--output={outdir}/run.csv", *argv]
+    methods = draw(st.lists(st.sampled_from(CLI_NAMES), min_size=1, max_size=3))
+    omegas = draw(st.lists(numbers, min_size=1, max_size=2))
+    return ["sweep", f"--methods={','.join(methods)}", f"--omegas={','.join(map(repr, omegas))}",
+            f"--hs={','.join(map(repr, hs))}", f"--outdir={outdir}/grid", *argv]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_the_cli_contract_holds_for_any_argv(data):
+    """Whatever `run`, `check` or `sweep` is given, `main` returns an exit
+    code of the contract within 2 s, and no exception or warning escapes."""
+    with tempfile.TemporaryDirectory() as outdir:
+        argv = data.draw(cli_argv(outdir))
+        start = time.perf_counter()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_IO, EXIT_BLOWUP), argv
+        assert time.perf_counter() - start < 2.0, argv
 
 
 def test_main_run_with_preset(tmp_path, capsys):

@@ -150,6 +150,35 @@ def test_non_resonance_count():
     assert non_resonance_max_N(0.1, 50.0, 0.1) > 4
 
 
+def test_non_resonance_counts_the_exact_phases():
+    """The count is for the exact phases k*(h*omega)/2 of the double h*omega:
+    these counts match 3000-bit arithmetic, where the rounded products
+    k*(h*omega/2) gave 1000 and 414 at the first two points."""
+    assert non_resonance_max_N(1.0, 728255167046.2643, 1e-3) == 259
+    assert non_resonance_max_N(1.0, 1e100, 1e-3) == 176
+    assert non_resonance_max_N(1.0, 3e5, 1e-3) == 204
+
+
+def test_non_resonance_below_1e6_counts_as_the_rounded_phases():
+    """Below h*omega = 1e6 the exact phases give the count of the rounded
+    products, the former formula, which is the oracle here; down to a
+    subnormal h*omega/2, whose ratio's denominator exceeds the largest double."""
+    def rounded(h: float, omega: float, c: float) -> int:
+        threshold, half, n = c * math.sqrt(h), 0.5 * h * omega, 0
+        while n < 1000 and abs(math.sin((n + 1) * half)) >= threshold:
+            n += 1
+        return n
+
+    rng = np.random.default_rng(21)
+    draws = np.exp(rng.uniform(np.log([1e-3, 1e-3, 1e-4]), np.log([1.0, 1e6, 1.0]), (200, 3)))
+    points = [(h, nu / h, c) for h, nu, c in draws.tolist()]
+    points += [(1e-300, 1.0, 1.0), (5e-324, 50.0, 1.0), (1.0, 1e-300, 1e-310),
+               (1.0, 5e-322, 1e-323)]
+    for h, omega, c in points:
+        assert h * omega < 1e6
+        assert non_resonance_max_N(h, omega, c) == rounded(h, omega, c), (h, omega, c)
+
+
 def test_non_resonance_caps_at_k_max():
     assert non_resonance_max_N(0.1, 50.0, 1e-12, k_max=500) == 500
 
