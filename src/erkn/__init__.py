@@ -49,7 +49,7 @@ from .verify import (
     ZeroCoefficient,
     adjoint_defect,
     assumption_report,
-    drift_coefficients,
+    drift_check,
     drift_engine,
     drift_series,
     drift_stats,

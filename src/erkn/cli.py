@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Sequence, TextIO, Union
 import numpy as np
 
 from .methods import METHODS, check_reports
-from .splitting import NonSymmetricMethod, filter_refusal, trig_method_from, upsilon_from
+from .splitting import NonSymmetricMethod, filter_refusal, trig_method_from
 from .systems import Partition, System, energies, fpu_system, linear_system
 from . import verify
 from .verify import (  # drift_series stays a cli attribute: perfbench's tracer wraps it here
@@ -33,7 +33,7 @@ from .verify import (  # drift_series stays a cli attribute: perfbench's tracer 
     DriftStats,
     Method,
     assumption_report,
-    drift_coefficients,
+    drift_check,
     drift_engine,
     drift_series,
     drift_stats,
@@ -133,10 +133,10 @@ def default_output_name(method: str, omega: float, h: float) -> str:
 def _prepare(
     cfgs: Sequence[ExperimentConfig], err: TextIO
 ) -> Optional[list[tuple[ExperimentConfig, DriftCell]]]:
-    """Each cell's problem and coefficients for `drift_engine`, resolving each
+    """Each cell's (method, problem) for `drift_engine`, resolving each
     distinct method name and building each distinct system once; None, with
     one error line printed, if any cell is invalid (`resolve_method`,
-    `build_problem` or `drift_coefficients` fails), two cells would write the
+    `build_problem` or `drift_check` fails), two cells would write the
     same CSV, or the cells together would take more than `verify.MAX_SAMPLES`
     samples, the most that `_run_cells` could hold at once."""
     resolve = functools.cache(resolve_method)  # one resolution per distinct name
@@ -149,11 +149,11 @@ def _prepare(
         outputs.add(cfg.output)
         try:
             method, problem = resolve(cfg.method), build(cfg.problem, cfg.m, cfg.omega)
-            coefs = drift_coefficients(method, problem, cfg.h, cfg.t_end, cfg.stride)
+            drift_check(problem, cfg.h, cfg.t_end, cfg.stride)
         except (KeyError, ValueError) as exc:  # the splitting module's errors included
             print(f"error: {cfg.method}: {exc.args[0]}", file=err)
             return None
-        cells.append((cfg, (method, problem, coefs)))
+        cells.append((cfg, (method, problem)))
     total = sum(verify.sample_count(cfg.h, cfg.t_end, cfg.stride) for cfg in cfgs)
     if total > verify.MAX_SAMPLES:
         print(f"error: need at most {verify.MAX_SAMPLES} samples in all cells, got {total}",
@@ -247,7 +247,7 @@ def cmd_check(
     if refusal is not None:
         print(f"kick filter: {type(refusal).__name__}: {m.name}: {refusal}", file=out)
     else:
-        print(f"kick filter: available (Upsilon(0) = {upsilon_from(m)(0.0):g})", file=out)
+        print(f"kick filter: available (Upsilon(0) = {sp.d1:g})", file=out)
     print(
         f"non-resonance: max N = {rep.max_N} "
         f"(|sin(k*h*omega/2)| >= {rep.c:g}*sqrt(h) up to k = N)",

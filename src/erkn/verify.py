@@ -193,12 +193,9 @@ class DriftStats:
     window_ratio_I: float
 
 
-def drift_coefficients(
-    method: Method, sys: System, h: float, t_end: float, stride: int = 1
-) -> Coefficients:
-    """The step-map diagonals of a drift series, after checking its arguments,
-    so a caller can reject a run before it starts. Raises ValueError (for a nan
-    or inf in the start too, naming the system)."""
+def drift_check(sys: System, h: float, t_end: float, stride: int = 1) -> None:
+    """ValueError, raised before any step, if a drift series of sys cannot run: a bad h,
+    t_end or stride, a missing or non-finite start (naming the system), or h*omega = inf."""
     if not (0.0 < h <= t_end and math.isfinite(t_end / h)):  # round(t_end/h) steps
         raise ValueError("need 0 < h <= t_end with t_end and t_end/h finite")
     if stride < 1:
@@ -209,7 +206,8 @@ def drift_coefficients(
         raise ValueError(f"system {sys.label!r} has no designated initial state")
     if not np.isfinite(sys.partition.check_state(sys.initial)).all():
         raise ValueError(f"system {sys.label!r} has a non-finite initial state")
-    return method.coefficients(sys.partition, h)
+    if not math.isfinite(h * sys.partition.omega):
+        raise ValueError("need a finite h*omega")
 
 
 def sample_count(h: float, t_end: float, stride: int) -> int:
@@ -230,20 +228,21 @@ SAMPLE_BUFFER_BYTES = 1 << 16
 # Steps between finiteness tests. A non-finite entry stays so under every step
 # map here (a finite cos scales it; nan and inf absorb sums).
 FINITE_TEST_STEPS = 64
-DriftCell = tuple[Method, System, Coefficients]
+DriftCell = tuple[Method, System]
 
 
 def drift_engine(
     cells: Sequence[DriftCell], h: float, t_end: float, stride: int = 1
 ) -> list[tuple[np.ndarray, Optional[str]]]:
-    """Integrate B cells (method, system, `drift_coefficients`) that share h,
-    t_end and stride, each from its system's initial state, at once: q and p
-    are (dim, B) blocks with a column per cell, stacked into one (2, dim, B)
-    state that one `step_map` over the cells' coefficient columns advances
-    in place. The cells share their problem (force, potential and block
-    sizes; omega may differ), not their kind: with a kick-first cell the
-    state carries a third row, the half kick that closed the last step
-    (`lift`), and a step still makes one force call.
+    """Integrate B cells (method, system) that share h, t_end and stride, each
+    from its system's initial state, at once, each checked by `drift_check`
+    (ValueError before any step) and stepped by its method's coefficients at h:
+    q and p are (dim, B) blocks with a column per cell, stacked into one
+    (2, dim, B) state that one `step_map` over those columns advances in place.
+    The cells share their problem (force, potential and block sizes; omega may
+    differ), not their kind: with a kick-first cell the state carries a third
+    row, the half kick that closed the last step (`lift`), and a step still
+    makes one force call.
 
     Runs n = round(t_end/h) steps and samples step 0, every stride-th step
     and the final step, holding only the energies of the samples taken. A
@@ -256,12 +255,14 @@ def drift_engine(
     or for a cell that blew up its finite prefix and the message; a finite
     start whose energies overflow runs, with the inf and nan energies it gives.
     """
-    methods, systems, coefs = zip(*cells)
+    for _, s in cells:
+        drift_check(s, h, t_end, stride)
+    methods, systems = zip(*cells)
     first, n = systems[0], int(round(t_end / h))
     stride = min(stride, n)  # any stride >= n samples steps 0 and n
     ends: list = [(None, None)] * len(cells)  # samples kept (None: all), blow-up message
     energy: list = []  # (2, k, B) blocks of H and I, one per flush
-    coefs = Coefficients.columns(coefs)
+    coefs = Coefficients.columns([m.coefficients(s.partition, h) for m, s in cells])
     z = np.stack([s.initial.z for s in systems], axis=-1)  # (2, dim, B)
     omega = np.array([s.partition.omega for s in systems])
     slots = max(2, SAMPLE_BUFFER_BYTES // z.nbytes)
@@ -325,8 +326,7 @@ def drift_series(
     energies overflow too. Raises ValueError for a nan or inf in the start and
     NonFiniteState (carrying the finite prefix's rows) if the trajectory blows up.
     """
-    cell = (method, sys, drift_coefficients(method, sys, h, t_end, stride))
-    rows, blowup = drift_engine([cell], h, t_end, stride)[0]
+    rows, blowup = drift_engine([(method, sys)], h, t_end, stride)[0]
     if blowup is not None:
         raise NonFiniteState(blowup, rows)
     return rows

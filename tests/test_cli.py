@@ -660,6 +660,21 @@ def test_main_usage_exit_codes(tmp_path, capsys):
     assert main([*argv, "--t-end", "1", "-o", str(tmp_path / "pi.csv")]) == EXIT_OK
 
 
+@pytest.mark.parametrize("method", ["ERKN2", "trig:ERKN3"])
+def test_an_overflowing_h_omega_is_refused_by_name(tmp_path, capsys, method):
+    """h*omega = 1e310 overflows while h, omega and t_end/h are finite: `run`
+    and `sweep` exit 2 with `drift_check`'s line and write nothing."""
+    out = tmp_path / "out"
+    numbers = ["--t-end", "1e300"]
+    for argv in (["run", "--method", method, "--h", "1e300", "--omega", "1e10", "-o", str(out)],
+                 ["sweep", "--methods", method, "--hs", "1e300", "--omegas", "1e10",
+                  "--outdir", str(out)]):
+        assert main([*argv, *numbers]) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {method}: need a finite h*omega\n")
+        assert not out.exists(), argv
+
+
 def test_main_check_smoke(capsys):
     assert main(["check", "ERKN4", "--h", "0.1", "--omega", "50"]) == EXIT_OK
     text = capsys.readouterr().out

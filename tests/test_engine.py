@@ -22,7 +22,6 @@ from erkn import (
     Partition,
     State,
     System,
-    drift_coefficients,
     drift_engine,
     drift_series,
     energies,
@@ -133,8 +132,7 @@ def test_rows_that_blow_up_leave_the_batch_alone(tmp_path):
                 if not (np.isfinite(s.q).all() and np.isfinite(s.p).all()):
                     first_bad = i
                     break
-        (samples, message), = drift_engine([(METHODS[name], sys_, drift_coefficients(
-            METHODS[name], sys_, h, 50.0, 7))], h, 50.0, 7)
+        (samples, message), = drift_engine([(METHODS[name], sys_)], h, 50.0, 7)
         assert f"non-finite at step {first_bad} (t = {first_bad * h:g})" in message
         assert list(samples[:, 0]) == [i * h for i in range(0, first_bad, 7)]
 
@@ -167,8 +165,7 @@ def test_a_zeroed_column_that_blows_up_again_changes_nothing(monkeypatch):
     builds its step map once."""
     h, t_end, stride, method = 0.1, 30.0, 4, METHODS["ERKN2"]
     blower, neighbour = growth_system(0.5, 1.0), growth_system(50.0, 0.0)
-    cells = [(method, sys_, drift_coefficients(method, sys_, h, t_end, stride))
-             for sys_ in (blower, neighbour)]
+    cells = [(method, blower), (method, neighbour)]
     step = stepper(method, blower, h)
     first = first_blowup(step, blower.initial, 300)
     assert first == 35
@@ -194,8 +191,7 @@ def test_the_replay_stops_once_every_cell_has_blown_up():
     force call a step."""
     calls, h, t_end, method = [], 0.1, 1000.0, METHODS["ERKN2"]
     sys_ = counted_force(growth_system(0.5, 1.0), calls)
-    (rows, message), = drift_engine([(method, sys_, drift_coefficients(method, sys_, h, t_end))],
-                                    h, t_end)
+    (rows, message), = drift_engine([(method, sys_)], h, t_end)
     assert message.endswith("state became non-finite at step 35 (t = 3.5)")
     assert len(rows) == 35 and len(calls) == verify.FINITE_TEST_STEPS + 35
 
@@ -206,7 +202,7 @@ def test_the_engine_holds_only_the_samples_it_took():
     below the 24 MB that the step numbers and energies of 10^6 samples take."""
     h, t_end, method = 0.1, 1e5, METHODS["ERKN2"]
     sys_ = growth_system(0.5, 1.0)
-    cell = (method, sys_, drift_coefficients(method, sys_, h, t_end))
+    cell = (method, sys_)
     tracemalloc.start()
     try:
         (rows, message), = drift_engine([cell], h, t_end)
@@ -240,7 +236,7 @@ def test_a_batch_mixes_one_stage_and_kick_first_cells():
     some cells blow up: each column comes out as its solo run, rows and
     message."""
     h, t_end, stride = 0.5, 50.0, 7
-    cells = [(resolve(name), sys_, drift_coefficients(resolve(name), sys_, h, t_end, stride))
+    cells = [(resolve(name), sys_)
              for name in ALL_METHODS for sys_ in (fpu_system(3, 50.0), fpu_system(3, 200.0))]
     batch = drift_engine(cells, h, t_end, stride)
     blown = 0
@@ -249,7 +245,7 @@ def test_a_batch_mixes_one_stage_and_kick_first_cells():
         assert (rows.tobytes(), message) == (solo_rows.tobytes(), solo_message)
         blown += message is not None
     assert 0 < blown < len(cells)
-    block = Coefficients.columns([c for _, _, c in cells])
+    block = Coefficients.columns([m.coefficients(s.partition, h) for m, s in cells])
     trig = np.array([name.startswith("trig:") for name in ALL_METHODS for _ in "ab"])
     assert block.kick[:, trig].all() and np.array_equal(block.kick, np.where(trig, block.wp, 0.0))
 
@@ -268,8 +264,7 @@ def test_one_force_call_per_engine_step(names, lifts):
     batch that holds a kick-first column adds one, to lift its start."""
     h, steps, calls = 0.1, 100, []
     sys_ = counted_force(fpu_system(3, 50.0), calls)
-    cells = [(resolve(name), sys_, drift_coefficients(resolve(name), sys_, h, steps * h))
-             for name in names]
+    cells = [(resolve(name), sys_) for name in names]
     assert all(message is None for _, message in drift_engine(cells, h, steps * h))
     assert calls == [(6, len(names))] * (steps + lifts)
 
@@ -292,8 +287,7 @@ def test_a_one_stage_column_steps_past_a_non_finite_start_force():
     an exact-zero half kick and equals its solo run byte for byte."""
     h, t_end = 0.1, 10.0
     sys_ = dataclasses.replace(threshold_system(0.5), initial=State([0.5, 0.0], [-10.0, 0.0]))
-    cells = [(resolve(name), sys_, drift_coefficients(resolve(name), sys_, h, t_end))
-             for name in ("ERKN2", "trig:ERKN2")]
+    cells = [(resolve(name), sys_) for name in ("ERKN2", "trig:ERKN2")]
     (rows, message), (_, trig_message) = drift_engine(cells, h, t_end)
     assert message is None and trig_message.endswith("non-finite at step 1 (t = 0.1)")
     (solo_rows, solo_message), = drift_engine(cells[:1], h, t_end)
@@ -308,8 +302,7 @@ def test_blow_ups_at_the_edges_of_a_finiteness_block():
     block, method, stride = verify.FINITE_TEST_STEPS, METHODS["ERKN2"], 7
     n = 3 * block + 5
     targets = [1, block, block + 1, 2 * block + 5, 2 * block + 30, n]
-    cells = [(method, sys_, drift_coefficients(method, sys_, 1.0, float(n), stride))
-             for sys_ in (threshold_system(1.25 - s) for s in targets)]
+    cells = [(method, threshold_system(1.25 - s)) for s in targets]
     for target, cell, (rows, message) in zip(targets, cells, drift_engine(cells, 1.0, n, stride)):
         assert first_blowup(stepper(method, cell[1], 1.0), cell[1].initial, n) == target
         assert message.endswith(f"state became non-finite at step {target} (t = {target:g})")
@@ -334,7 +327,7 @@ def batch_of(sys_by_omega: dict, names: list, h: float):
         method = METHODS[name] if name in METHODS else trig_method_from(METHODS[name[5:]])
         build = stepper if name in METHODS else trig_stepper
         for sys_ in sys_by_omega.values():
-            cells.append((method, sys_, drift_coefficients(method, sys_, h, 100 * h)))
+            cells.append((method, sys_))
             steppers.append(build(method, sys_, h))
     return cells, steppers
 
@@ -352,12 +345,12 @@ def assert_rows_equal_single_steppers(sys_by_omega: dict, h: float) -> None:
         exact = names != ALL_METHODS
         cells, steppers = batch_of(sys_by_omega, names, h)
         samples = drift_engine(cells, h, steps * h)
-        block = Coefficients.columns([c for _, _, c in cells])
+        block = Coefficients.columns([m.coefficients(s.partition, h) for m, s in cells])
         force = cells[0][1].force
-        z = np.stack([(sys_.initial.q, sys_.initial.p) for _, sys_, _ in cells], axis=-1)
+        z = np.stack([(sys_.initial.q, sys_.initial.p) for _, sys_ in cells], axis=-1)
         z = lift(force, block, z)
         kernel = step_map(force, block, z)
-        states = [sys_.initial for _, sys_, _ in cells]
+        states = [sys_.initial for _, sys_ in cells]
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, steps + 1):
                 kernel()

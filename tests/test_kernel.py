@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from erkn import (
     METHODS,
     State,
-    drift_coefficients,
     drift_engine,
     fpu_system,
     step_map,
@@ -185,8 +184,7 @@ def test_the_engine_leaves_every_initial_state_unchanged():
     h, t_end, stride = 0.5, 50.0, 7
     systems = [fpu_system(3, 50.0), fpu_system(3, 200.0)]
     before = [s.initial.z.tobytes() for s in systems]
-    cells = [(resolve(name), sys_, drift_coefficients(resolve(name), sys_, h, t_end, stride))
-             for name in list(METHODS) + KICK_FIRST for sys_ in systems]
+    cells = [(resolve(name), sys_) for name in list(METHODS) + KICK_FIRST for sys_ in systems]
     results = drift_engine(cells, h, t_end, stride)
     assert any(message for _, message in results) and not all(message for _, message in results)
     assert [s.initial.z.tobytes() for s in systems] == before

@@ -17,7 +17,8 @@ from erkn import (
     adjoint_defect,
     assumption_report,
     conjugacy_check,
-    drift_coefficients,
+    drift_check,
+    drift_engine,
     drift_series,
     drift_stats,
     erkn_step,
@@ -110,7 +111,9 @@ def test_probes_reject_a_state_of_another_size(fpu3):
     small = State([1.0], [1.0])
     m = METHODS["ERKN2"]
     tm = trig_method_from(m)
+    short = dataclasses.replace(fpu3, initial=small)
     probes = [
+        lambda: drift_check(short, 0.1, 1.0),
         lambda: flow_linear(fpu3.partition, 0.1, small),
         lambda: flow_kick(fpu3, tm.upsilon, 0.1, small),
         lambda: strang_lnl_step(m, fpu3, 0.1, small),
@@ -119,7 +122,6 @@ def test_probes_reject_a_state_of_another_size(fpu3):
         lambda: oscillatory_energy(fpu3.partition, small),
         lambda: hamiltonian(fpu3, small),
     ]
-    short = dataclasses.replace(fpu3, initial=small)
     for method in (m, tm):  # one-stage and kick-first; a default binds each
         probes += [
             lambda method=method: stepper(method, fpu3, 0.1)(small),
@@ -127,7 +129,6 @@ def test_probes_reject_a_state_of_another_size(fpu3):
             lambda method=method: adjoint_defect(method, fpu3, 0.1, small),
             lambda method=method: symplecticity_defect(method, fpu3, 0.1, small),
             lambda method=method: structure_defects(method, fpu3, 0.1, small),
-            lambda method=method: drift_coefficients(method, short, 0.1, 1.0),
         ]
     for probe in probes:
         with pytest.raises(ValueError, match="does not match"):
@@ -314,11 +315,21 @@ def test_a_start_of_the_wrong_size_is_refused_before_any_step(fpu3):
     calls = []
     short = dataclasses.replace(fpu3, initial=State([1.0], [1.0]),
                                 force=lambda q: calls.append(q) or fpu3.force(q))
+    with pytest.raises(ValueError, match="state does not match system partition"):
+        drift_check(short, 0.1, 1.0)
     for method in (METHODS["ERKN2"], trig_method_from(METHODS["ERKN2"])):
         with pytest.raises(ValueError, match="state does not match system partition"):
-            drift_coefficients(method, short, 0.1, 1.0)
-        with pytest.raises(ValueError, match="state does not match system partition"):
             drift_series(method, short, 0.1, 1.0)
+    assert calls == []
+
+
+def test_the_engine_checks_its_own_step_count_before_any_step(fpu3):
+    """`drift_engine` checks its cells with `drift_check` at its own h, t_end
+    and stride: 10^13 steps exceed MAX_STEPS, refused before the force is called."""
+    calls = []
+    counted = dataclasses.replace(fpu3, force=lambda q: calls.append(q) or fpu3.force(q))
+    with pytest.raises(ValueError, match=f"need at most {verify.MAX_STEPS} steps"):
+        drift_engine([(METHODS["ERKN2"], counted)], 0.1, 1e12)
     assert calls == []
 
 
@@ -341,7 +352,7 @@ def test_an_inf_start_is_refused_before_any_step():
     for q, p in (([0.0, math.inf, 0.0], [1.0, 0.0, 0.0]), ([0.0, 0.0, 0.0], [0.0, 0.0, -math.inf])):
         inf_start = dataclasses.replace(rotation, initial=State(q, p))
         with pytest.raises(ValueError, match=re.escape(f"{rotation.label!r} has a non-finite")):
-            drift_coefficients(METHODS["ERKN3"], inf_start, 0.1, 1.0)
+            drift_check(inf_start, 0.1, 1.0)
         with pytest.raises(ValueError, match="non-finite initial state"):
             drift_series(METHODS["ERKN3"], inf_start, 0.1, 1.0)
 
