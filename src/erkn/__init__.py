@@ -14,6 +14,7 @@ from .methods import (
     erkn_step,
     step_map,
     stepper,
+    symmetric,
     symplectic,
 )
 from .oscfun import block_expand, sinc

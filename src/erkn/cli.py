@@ -14,7 +14,6 @@ CSV output is deterministic: 17 significant digits, '.' decimal separator,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys as _sys
@@ -24,8 +23,8 @@ from typing import Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .methods import METHODS, check_reports
-from .splitting import NonSymmetricMethod, filter_refusal, trig_method_from
+from .methods import METHODS, check_reports, nu_grid_reports
+from .splitting import filter_refusal, trig_method_from
 from .systems import Partition, System, energies, fpu_system, linear_system
 from . import verify
 from .verify import (  # drift_series stays a cli attribute: perfbench's tracer wraps it here
@@ -79,10 +78,8 @@ def resolve_method(name: str) -> Method:
         return METHODS[name]
     if name.startswith("trig:") and name[5:] in METHODS:
         return trig_method_from(METHODS[name[5:]])
-    trig = []  # the names the branch above resolves: methods with a kick filter
-    for m in METHODS.values():
-        with contextlib.suppress(NonSymmetricMethod):
-            trig.append(trig_method_from(m).name)
+    trig = [f"trig:{m.name}" for m in METHODS.values()  # the names the branch above resolves:
+            if filter_refusal(m, nu_grid_reports(m)[0]) is None]  # `upsilon_from`'s rule
     raise KeyError(f"unknown method; valid: {', '.join([*METHODS, *trig])}")
 
 

@@ -57,6 +57,13 @@ def symplectic(name: str, c1: float, d1: float = 1.0) -> ErknMethod:
                       b=lambda nu: d1 * cos(c2 * nu))
 
 
+def symmetric(name: str, upsilon: Callable[[float], float]) -> ErknMethod:
+    """The symmetric method with kick filter Upsilon (c1 = 1/2):
+    b(nu) = Upsilon(nu) cos(nu/2) and bbar(nu) = Upsilon(nu) sinc(nu/2)/2."""
+    return ErknMethod(name, 0.5, bbar=lambda nu: 0.5 * upsilon(nu) * sinc(0.5 * nu),
+                      b=lambda nu: upsilon(nu) * cos(0.5 * nu))
+
+
 METHODS: dict[str, ErknMethod] = {m.name: m for m in (
     ErknMethod(
         "ERKN1",
@@ -65,18 +72,8 @@ METHODS: dict[str, ErknMethod] = {m.name: m for m in (
         b=lambda nu: cos(0.5 * nu),
     ),
     symplectic("ERKN2", 0.5),
-    ErknMethod(
-        "ERKN3",
-        0.5,
-        bbar=lambda nu: 0.5 * sinc(nu) * cos(0.5 * nu),
-        b=lambda nu: power(cos(0.5 * nu), 3),
-    ),
-    ErknMethod(
-        "ERKN4",
-        0.5,
-        bbar=lambda nu: 0.5 * power(sinc(0.5 * nu), 2),
-        b=lambda nu: sinc(0.5 * nu) * cos(0.5 * nu),
-    ),
+    symmetric("ERKN3", lambda nu: power(cos(0.5 * nu), 2)),
+    symmetric("ERKN4", lambda nu: sinc(0.5 * nu)),
     symplectic("ERKN5", 0.4),
     symplectic("ERKN6", 0.2),
 )}

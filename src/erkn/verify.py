@@ -239,10 +239,10 @@ def drift_engine(
     (ValueError before any step) and stepped by its method's coefficients at h:
     q and p are (dim, B) blocks with a column per cell, stacked into one
     (2, dim, B) state that one `step_map` over those columns advances in place.
-    The cells share their problem (force, potential and block sizes; omega may
-    differ), not their kind: with a kick-first cell the state carries a third
-    row, the half kick that closed the last step (`lift`), and a step still
-    makes one force call.
+    The cells share their problem (block sizes and the code of force and
+    potential, else ValueError; omega and the start may differ), not their
+    kind: with a kick-first cell the state carries a third row, the half kick
+    that closed the last step (`lift`), and a step still makes one force call.
 
     Runs n = round(t_end/h) steps and samples step 0, every stride-th step
     and the final step, holding only the energies of the samples taken. A
@@ -255,9 +255,15 @@ def drift_engine(
     or for a cell that blew up its finite prefix and the message; a finite
     start whose energies overflow runs, with the inf and nan energies it gives.
     """
-    for _, s in cells:
-        drift_check(s, h, t_end, stride)
+    if not cells:
+        raise ValueError("need at least one cell")
     methods, systems = zip(*cells)
+    problems = [(s.partition.d1, s.partition.d2,
+                 *(getattr(f, "__code__", f) for f in (s.force, s.potential))) for s in systems]
+    for m, s, problem in zip(methods, systems, problems):
+        drift_check(s, h, t_end, stride)
+        if problem != problems[0]:
+            raise ValueError(f"{m.name} on {s.label}: not the problem of {systems[0].label}")
     first, n = systems[0], int(round(t_end / h))
     stride = min(stride, n)  # any stride >= n samples steps 0 and n
     ends: list = [(None, None)] * len(cells)  # samples kept (None: all), blow-up message

@@ -10,6 +10,7 @@ steppers.
 import dataclasses
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -267,6 +268,34 @@ def test_one_force_call_per_engine_step(names, lifts):
     cells = [(resolve(name), sys_) for name in names]
     assert all(message is None for _, message in drift_engine(cells, h, steps * h))
     assert calls == [(6, len(names))] * (steps + lifts)
+
+
+def test_an_empty_cell_list_is_refused_by_name():
+    with pytest.raises(ValueError, match="^need at least one cell$"):
+        drift_engine([], 0.1, 1.0)
+
+
+def test_cells_of_another_problem_are_refused_by_name():
+    """The engine steps every cell with the first cell's force and measures it
+    with the first cell's potential, so a cell whose block sizes or whose code
+    of force or potential differ is refused before any force call: a linear
+    cell from the FPU start, batched after the FPU cell, would read
+    max|dH| 0.2 against 1.6e-14 alone. Systems built by one function share
+    their code, so mixed omegas and per-system force wrappers still run."""
+    calls, method = [], METHODS["ERKN2"]
+    fpu = counted_force(fpu_system(3, 50.0), calls)
+    others = [
+        dataclasses.replace(linear_system(Partition(3, 3, 50.0)), initial=fpu.initial),
+        fpu_system(4, 50.0),
+        dataclasses.replace(fpu, potential=lambda q: np.zeros(q.shape[1:])),
+    ]
+    for other in others:
+        refusal = f"^ERKN3 on {re.escape(other.label)}: not the problem of "
+        with pytest.raises(ValueError, match=refusal):
+            drift_engine([(method, fpu), (METHODS["ERKN3"], other)], 0.1, 10.0)
+    assert calls == []
+    mixed = [(method, fpu), (method, counted_force(fpu_system(3, 200.0), calls))]
+    assert all(message is None for _, message in drift_engine(mixed, 0.1, 1.0))
 
 
 def threshold_system(q0: float) -> System:

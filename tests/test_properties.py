@@ -24,9 +24,12 @@ from hypothesis import strategies as st
 
 from erkn import (
     METHODS,
+    NU_GRID,
     Partition,
     State,
     adjoint_defect,
+    check_symmetry,
+    check_symplecticity,
     conjugacy_check,
     drift_engine,
     drift_stats,
@@ -35,6 +38,7 @@ from erkn import (
     non_resonance_max_N,
     stepper,
     strang_lnl_step,
+    symmetric,
     symplectic,
     symplecticity_defect,
     trig_method_from,
@@ -43,6 +47,7 @@ from erkn import (
     upsilon_from,
 )
 from erkn.cli import write_drift_csv
+from erkn.oscfun import cos, power, sinc
 
 SYMMETRIC = ("ERKN2", "ERKN3", "ERKN4")
 SYMPLECTIC = ("ERKN2", "ERKN5", "ERKN6")
@@ -176,6 +181,44 @@ def test_symmetric_or_symplectic_methods_nearly_conserve_h_and_i():
     medians = np.median(stats, axis=0)  # (dH, dI) per method, ERKN1 first
     assert (medians[1:] <= CONSERVING_AT_MOST).all() and (medians[0] >= DRIFTING_AT_LEAST).all(), \
         dict(zip(names, medians.tolist()))
+
+
+FILTER_TOL = 1e-12  # relative, upsilon_from against the filter a method was built from
+
+
+def test_the_symmetric_family_is_its_kick_filters():
+    """`symmetric(name, upsilon)` for Gaussian filters exp(-a nu^2), a drawn
+    log-uniform in [1e-3, 1] from a fixed seed, and for cos(nu/2)^k (k = 0..3)
+    and sinc(nu/2)^k (k = 1, 2): each passes check_symmetry, passes
+    check_symplecticity exactly when its filter is constant (k = 0), gives its
+    filter back through upsilon_from on NU_GRID off the poles, and stays
+    conjugate to its kick-first scheme over 20 steps at two drawn (h, omega).
+    ERKN3 and ERKN4 are the members with cos(nu/2)^2 and sinc(nu/2). The
+    bounds were fixed before the first run."""
+    rng = np.random.default_rng(24)
+    gaussians = [lambda nu, a=a: np.exp(-a * nu * nu)
+                 for a in np.exp(rng.uniform(np.log(1e-3), 0.0, 4))]
+    filters = [*((f"exp{k}", f, False) for k, f in enumerate(gaussians)),
+               *((f"cos^{k}", lambda nu, k=k: power(cos(0.5 * nu), k), k == 0) for k in range(4)),
+               *((f"sinc^{k}", lambda nu, k=k: power(sinc(0.5 * nu), k), False) for k in (1, 2))]
+    points = np.exp(rng.uniform(np.log([0.01, 10.0]), np.log([0.1, 200.0]), (2, 2)))
+    nu = np.array(NU_GRID)
+    off_poles = nu[np.abs(np.cos(0.5 * nu)) >= 1e-3]
+    for name, upsilon, constant in filters:
+        m = symmetric(name, upsilon)
+        assert check_symmetry(m).passed, name
+        assert check_symplecticity(m).passed == constant, name
+        extracted = upsilon_from(m)
+        for x in off_poles.tolist():
+            assert abs(extracted(x) - upsilon(x)) <= FILTER_TOL * abs(upsilon(x)), (name, x)
+        for h, omega in points:
+            sys = fpu_system(M, omega)
+            deviation = conjugacy_check(m, sys, h, sys.initial, n=20).max_deviation
+            assert deviation <= CONJUGACY_TOL, (name, h, omega, deviation)
+    by_name = {name: upsilon for name, upsilon, _ in filters}
+    for name, member in (("ERKN3", "cos^2"), ("ERKN4", "sinc^1")):
+        m, built = METHODS[name], symmetric(name, by_name[member])
+        assert all(np.array_equal(getattr(m, w)(nu), getattr(built, w)(nu)) for w in ("b", "bbar"))
 
 
 @PROPERTY
