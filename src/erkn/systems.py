@@ -138,6 +138,63 @@ def fpu_initial(m: int, omega: float) -> State:
     return State.of(z)
 
 
+def _elongations(q: np.ndarray) -> Callable[[], np.ndarray]:
+    # s_0 = q_1 - q_{m+1}, s_i = q_{i+1} - q_{m+i+1} - q_i - q_{m+i} and
+    # s_m = -(q_m + q_{2m}), so U = 1/4 sum_i s_i^4 (0-based s, 1-based q).
+    # Returns a call that writes s from q (m = len(q) // 2) and returns it; views are made once.
+    m = len(q) // 2
+    s = np.empty((m + 1,) + q.shape[1:])
+    slow, stiff, head, tail, pad = q[:m], q[m:], s[:m], s[1:], s[m:]
+
+    def fill() -> np.ndarray:  # a ufunc's third argument is out
+        pad.fill(0.0)  # a view: for 1-d s, s[m] would be a scalar copy
+        np.subtract(slow, stiff, head)
+        np.subtract(tail, slow, tail)
+        np.subtract(tail, stiff, tail)
+        return s
+
+    return fill
+
+
+def _fpu_potential(q: np.ndarray):
+    return 0.25 * np.sum(_elongations(q)() ** 4, axis=0)
+
+
+def _fpu_bind(q: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+    # a call that writes g(q) into out. Each s_i^4/4 contributes
+    # s_i^3 * ds_i/dq: slow q_i gets s_{i+1}^3 - s_i^3 and stiff q_{m+i}
+    # gets s_{i+1}^3 + s_i^3. The cubes come from one array power whatever
+    # the shape of q: a scalar ** 3 can round differently, and a batched
+    # column must match the single-trajectory step bit for bit.
+    m = len(q) // 2
+    elongate, cube = _elongations(q), np.empty((m + 1,) + q.shape[1:])
+    ahead, behind, slow, stiff = cube[1:], cube[:m], out[:m], out[m:]
+
+    def force_into() -> None:
+        np.power(elongate(), 3, cube)
+        np.subtract(ahead, behind, slow)
+        np.add(ahead, behind, stiff)
+
+    return force_into
+
+
+def _fpu_force(q: np.ndarray) -> np.ndarray:
+    _fpu_bind(q, out := np.empty(q.shape))()
+    return out
+
+
+def _zero_potential(q: np.ndarray):
+    return np.zeros(q.shape[1:])
+
+
+def _zero_force(q: np.ndarray) -> np.ndarray:
+    return np.zeros(q.shape)
+
+
+# the in-place forms, which `step_map` binds to its buffers
+_fpu_force.bind, _zero_force.bind = _fpu_bind, lambda q, out: lambda: out.fill(0.0)
+
+
 def fpu_system(m: int, omega: float) -> System:
     """Chain of m stiff springs alternating with quartic soft couplings.
 
@@ -152,54 +209,10 @@ def fpu_system(m: int, omega: float) -> System:
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    part = Partition(d1=m, d2=m, omega=omega)
-
-    def elongations(q: np.ndarray) -> Callable[[], np.ndarray]:
-        # s_0 = q_1 - q_{m+1}, s_i = q_{i+1} - q_{m+i+1} - q_i - q_{m+i} and
-        # s_m = -(q_m + q_{2m}), so U = 1/4 sum_i s_i^4 (0-based s, 1-based q).
-        # Returns a call that writes s from q and returns it; views are made once.
-        s = np.empty((m + 1,) + q.shape[1:])
-        slow, stiff, head, tail, pad = q[:m], q[m:], s[:m], s[1:], s[m:]
-
-        def fill() -> np.ndarray:  # a ufunc's third argument is out
-            pad.fill(0.0)  # a view: for 1-d s, s[m] would be a scalar copy
-            np.subtract(slow, stiff, head)
-            np.subtract(tail, slow, tail)
-            np.subtract(tail, stiff, tail)
-            return s
-
-        return fill
-
-    def potential(q: np.ndarray):
-        return 0.25 * np.sum(elongations(q)() ** 4, axis=0)
-
-    def bind(q: np.ndarray, out: np.ndarray) -> Callable[[], None]:
-        # a call that writes g(q) into out. Each s_i^4/4 contributes
-        # s_i^3 * ds_i/dq: slow q_i gets s_{i+1}^3 - s_i^3 and stiff q_{m+i}
-        # gets s_{i+1}^3 + s_i^3. The cubes come from one array power whatever
-        # the shape of q: a scalar ** 3 can round differently, and a batched
-        # column must match the single-trajectory step bit for bit.
-        elongate, cube = elongations(q), np.empty((m + 1,) + q.shape[1:])
-        ahead, behind, slow, stiff = cube[1:], cube[:m], out[:m], out[m:]
-
-        def force_into() -> None:
-            np.power(elongate(), 3, cube)
-            np.subtract(ahead, behind, slow)
-            np.add(ahead, behind, stiff)
-
-        return force_into
-
-    def force(q: np.ndarray) -> np.ndarray:
-        out = np.empty(q.shape)
-        bind(q, out)()
-        return out
-
-    force.bind = bind  # the in-place form, which `step_map` binds to its buffers
-
     return System(
-        partition=part,
-        potential=potential,
-        force=force,
+        partition=Partition(d1=m, d2=m, omega=omega),
+        potential=_fpu_potential,
+        force=_fpu_force,
         label=f"fpu(m={m}, omega={omega:g})",
         initial=fpu_initial(m, omega),
     )
@@ -211,21 +224,14 @@ def linear_system(part: Partition) -> System:
     The designated initial state mirrors the quartic-chain pattern: unit
     data on the first slow coordinate, (1/omega, 1) on the first fast one.
     """
-    def potential(q: np.ndarray):
-        return np.zeros(q.shape[1:])
-
-    def force(q: np.ndarray) -> np.ndarray:
-        return np.zeros(q.shape)
-
-    force.bind = lambda q, out: lambda: out.fill(0.0)  # the in-place form (see `fpu_system`)
     z = np.zeros((2, part.dim))  # rows q and p
     if part.d1 > 0:
         z[:, 0] = 1.0
     z[:, part.d1] = (1.0 / part.omega if part.omega > 0.0 else 1.0, 1.0)
     return System(
         partition=part,
-        potential=potential,
-        force=force,
+        potential=_zero_potential,
+        force=_zero_force,
         label=f"linear(d1={part.d1}, d2={part.d2}, omega={part.omega:g})",
         initial=State.of(z),
     )

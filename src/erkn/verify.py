@@ -231,6 +231,15 @@ FINITE_TEST_STEPS = 64
 DriftCell = tuple[Method, System]
 
 
+def _same_problem(a: System, b: System) -> bool:
+    """Whether b is a's problem, by the rule that `drift_engine` states."""
+    with np.errstate(all="ignore"):  # the potentials first; nan equals nan
+        return (a.partition.d1, a.partition.d2) == (b.partition.d1, b.partition.d2) and (
+            a.force is b.force and a.potential is b.potential
+            or all(np.array_equal(f(b.initial.q), g(b.initial.q), equal_nan=True)
+                   for f, g in ((a.potential, b.potential), (a.force, b.force))))
+
+
 def drift_engine(
     cells: Sequence[DriftCell], h: float, t_end: float, stride: int = 1
 ) -> list[tuple[np.ndarray, Optional[str]]]:
@@ -239,10 +248,10 @@ def drift_engine(
     (ValueError before any step) and stepped by its method's coefficients at h:
     q and p are (dim, B) blocks with a column per cell, stacked into one
     (2, dim, B) state that one `step_map` over those columns advances in place.
-    The cells share their problem (block sizes and the code of force and
-    potential, else ValueError; omega and the start may differ), not their
-    kind: with a kick-first cell the state carries a third row, the half kick
-    that closed the last step (`lift`), and a step still makes one force call.
+    The cells share their problem, else ValueError: the first cell's block sizes and
+    force and potential, or ones that equal them at the cell's start (omega and the
+    start may differ). Kinds mix: with a kick-first cell the state carries a third row,
+    the half kick that closed the last step (`lift`), and a step still makes one force call.
 
     Runs n = round(t_end/h) steps and samples step 0, every stride-th step
     and the final step, holding only the energies of the samples taken. A
@@ -258,14 +267,13 @@ def drift_engine(
     if not cells:
         raise ValueError("need at least one cell")
     methods, systems = zip(*cells)
-    problems = [(s.partition.d1, s.partition.d2,
-                 *(getattr(f, "__code__", f) for f in (s.force, s.potential))) for s in systems]
-    for m, s, problem in zip(methods, systems, problems):
+    first, same = systems[0], set()  # ids of the systems accepted
+    for m, s in cells:
         drift_check(s, h, t_end, stride)
-        if problem != problems[0]:
-            raise ValueError(f"{m.name} on {s.label}: not the problem of {systems[0].label}")
-    first, n = systems[0], int(round(t_end / h))
-    stride = min(stride, n)  # any stride >= n samples steps 0 and n
+        if id(s) not in same and not _same_problem(first, s):
+            raise ValueError(f"{m.name} on {s.label}: not the problem of {first.label}")
+        same.add(id(s))
+    stride = min(stride, n := int(round(t_end / h)))  # any stride >= n samples steps 0 and n
     ends: list = [(None, None)] * len(cells)  # samples kept (None: all), blow-up message
     energy: list = []  # (2, k, B) blocks of H and I, one per flush
     coefs = Coefficients.columns([m.coefficients(s.partition, h) for m, s in cells])

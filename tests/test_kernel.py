@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erkn import (
@@ -87,8 +87,6 @@ def assert_kernel_matches_oracle(names: list, omegas: list, h: float, seed: int,
     kernel gets the force without its `bind`, so it calls it and copies."""
     rng = np.random.default_rng(seed)
     cells = [(resolve(name), fpu_system(3, w)) for name in names for w in omegas]
-    for _, sys_ in cells:
-        assume(abs(math.cos(0.5 * h * sys_.partition.omega)) >= 1e-3)  # off the filter poles
     coefs = [method.coefficients(sys_.partition, h) for method, sys_ in cells]
     c = coefs[0] if len(cells) == 1 else Coefficients.columns(coefs)
     starts = [s.initial.z + 0.1 * rng.standard_normal(s.initial.z.shape) for _, s in cells]
@@ -119,8 +117,11 @@ def test_a_single_state_kernel_matches_the_allocating_kernel(h, omega, name, see
 @PROPERTY
 @given(log_uniform(0.005, 0.4), log_uniform(5.0, 400.0), log_uniform(5.0, 400.0),
        st.integers(0, 2**32 - 1))
+@example(0.1, 10.0 * math.pi, 30.0 * math.pi, 0)  # h*omega = pi and 3pi: kick-filter poles
 def test_batches_of_18_match_the_allocating_kernel(h, omega_a, omega_b, seed):
-    """One-stage (6 methods x 3 omegas), kick-first (3 x 6) and mixed (9 x 2)."""
+    """One-stage (6 methods x 3 omegas), kick-first (3 x 6) and mixed (9 x 2).
+    The example puts two columns on poles of the kick filter, where it is
+    2 bbar/sinc(nu/2); random draws almost never land there."""
     omegas = [omega_a, omega_b, math.sqrt(omega_a * omega_b)]
     assert_kernel_matches_oracle(list(METHODS), omegas, h, seed)
     assert_kernel_matches_oracle(KICK_FIRST, omegas + [2.0 * w for w in omegas], h, seed)

@@ -3,8 +3,7 @@ drift CSV and drift statistics, the drift ordering of the symplectic family,
 and near conservation of H and I over random non-resonant operating points.
 
 For the FPU lattice h is drawn log-uniform in [0.005, 0.4] and omega
-log-uniform in [5, 400], the ranges of the structure benchmark; points within
-1e-3 of a kick-filter pole (cos(h*omega/2) = 0) are skipped. States are the
+log-uniform in [5, 400], the ranges of the structure benchmark. States are the
 benchmark start plus an O(0.1) perturbation. The FPU lattice is chaotic, so
 trajectories are compared pointwise over 10 steps only, against the splitting
 compositions that serve as independent oracles. The conjugacy property runs
@@ -19,7 +18,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erkn import (
@@ -70,7 +69,6 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=N
 
 
 def operating_point(h: float, omega: float, dq: list, dp: list):
-    assume(abs(math.cos(0.5 * h * omega)) >= 1e-3)
     sys = fpu_system(M, omega)
     return sys, State(sys.initial.q + np.array(dq), sys.initial.p + np.array(dp))
 
@@ -233,7 +231,6 @@ def test_n_steps_equal_both_conjugate_wrappings(h, omega, n):
     trajectories are skipped: the identity is checked where it is numerically
     meaningful. A perturbed start blows up more often, hence the start itself.
     """
-    assume(abs(math.cos(0.5 * h * omega)) >= 1e-3)
     sys = fpu_system(M, omega)
     for name in SYMMETRIC:
         s = sys.initial
