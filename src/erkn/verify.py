@@ -231,13 +231,12 @@ FINITE_TEST_STEPS = 64
 DriftCell = tuple[Method, System]
 
 
-def _same_problem(a: System, b: System) -> bool:
-    """Whether b is a's problem, by the rule that `drift_engine` states."""
+def _same_problem(a: System, b: System) -> bool:  # the rule that `drift_engine` states
+    q = np.stack([b.initial.q, np.sin(1.0 + np.arange(b.partition.dim))], -1)  # q_k = sin k
     with np.errstate(all="ignore"):  # the potentials first; nan equals nan
-        return (a.partition.d1, a.partition.d2) == (b.partition.d1, b.partition.d2) and (
-            a.force is b.force and a.potential is b.potential
-            or all(np.array_equal(f(b.initial.q), g(b.initial.q), equal_nan=True)
-                   for f, g in ((a.potential, b.potential), (a.force, b.force))))
+        return (a.partition.d1, a.partition.d2) == (b.partition.d1, b.partition.d2) and all(
+            f is g or np.array_equal(f(q), g(q), equal_nan=True)
+            for f, g in ((a.potential, b.potential), (a.force, b.force)))
 
 
 def drift_engine(
@@ -249,9 +248,10 @@ def drift_engine(
     q and p are (dim, B) blocks with a column per cell, stacked into one
     (2, dim, B) state that one `step_map` over those columns advances in place.
     The cells share their problem, else ValueError: the first cell's block sizes and
-    force and potential, or ones that equal them at the cell's start (omega and the
-    start may differ). Kinds mix: with a kick-first cell the state carries a third row,
-    the half kick that closed the last step (`lift`), and a step still makes one force call.
+    potential, then force, each the same object or (wrapped or built apart) equal at
+    the cell's start and at one fixed point; omega and the start may differ. Kinds
+    mix: with a kick-first cell the state carries a third row, the half kick that
+    closed the last step (`lift`), and a step still makes one force call.
 
     Runs n = round(t_end/h) steps and samples step 0, every stride-th step
     and the final step, holding only the energies of the samples taken. A

@@ -273,15 +273,19 @@ def test_an_empty_cell_list_is_refused_by_name():
 def test_cells_of_another_problem_are_refused_by_name():
     """The engine steps every cell with the first cell's force and measures it
     with the first cell's potential, so a cell whose block sizes differ, or
-    whose potential differs at its start, is refused before any force call: a
-    linear cell from the FPU start, batched after the FPU cell, would read
-    max|dH| 0.2 against 1.6e-14 alone. Built-in systems share one force and
-    one potential, and a per-system force wrapper gives the same force at the
-    start, so mixed omegas and wrapped forces still run."""
+    whose potential differs at its start or at the fixed point, is refused
+    before any force call: a linear cell from the FPU start, batched after the
+    FPU cell, would read max|dH| 0.2 against 1.6e-14 alone, and a linear cell
+    at rest at q = 0, where both potentials and both forces are 0, would be
+    stepped with the FPU force. Built-in systems share one force and one
+    potential, and a per-system force wrapper gives the same force everywhere,
+    so mixed omegas and wrapped forces still run."""
     calls, method = [], METHODS["ERKN2"]
     fpu = counted_force(fpu_system(3, 50.0), calls)
     others = [
         dataclasses.replace(linear_system(Partition(3, 3, 50.0)), initial=fpu.initial),
+        dataclasses.replace(linear_system(Partition(3, 3, 50.0)),
+                            initial=State(np.zeros(6), fpu.initial.p)),
         fpu_system(4, 50.0),
         dataclasses.replace(fpu, potential=lambda q: np.zeros(q.shape[1:])),
     ]
@@ -305,18 +309,22 @@ def test_a_factory_with_another_parameter_is_refused_by_name():
     """Two springs come from one factory, so their functions share their code,
     but k = 4 is not the problem of k = 1: batched after k = 1 it would be
     stepped and measured as k = 1 (H(0) = 1.505 instead of 3.02). The
-    potentials differ at its start, so it is refused before any force call."""
+    potentials differ at its start, so it is refused before any force call.
+    Started at rest at q = 0, where both potentials and both forces are 0,
+    they differ at the fixed point, so the pair is refused there too."""
     calls, method = [], METHODS["ERKN2"]
-    soft, stiff = counted_force(spring(1.0), calls), counted_force(spring(4.0), calls)
-    with pytest.raises(ValueError, match=r"^ERKN2 on spring\(k=4\): not the problem of "
-                                         r"spring\(k=1\)$"):
-        drift_engine([(method, soft), (method, stiff)], 0.1, 10.0)
+    springs = [counted_force(spring(k), calls) for k in (1.0, 4.0)]
+    at_rest = [dataclasses.replace(s, initial=State([0.0, 0.0], [1.0, 1.0])) for s in springs]
+    for soft, stiff in (springs, at_rest):
+        with pytest.raises(ValueError, match=r"^ERKN2 on spring\(k=4\): not the problem of "
+                                             r"spring\(k=1\)$"):
+            drift_engine([(method, soft), (method, stiff)], 0.1, 10.0)
     assert calls == []
 
 
 def test_separately_built_systems_of_one_problem_batch_together():
     """Two k = 1 springs hold different function objects whose values agree
-    at the start: they batch, and each equals its solo run byte for byte."""
+    everywhere: they batch, and each equals its solo run byte for byte."""
     cells = [(METHODS["ERKN2"], spring(1.0)), (resolve("trig:ERKN3"), spring(1.0))]
     for cell, (rows, message) in zip(cells, drift_engine(cells, 0.1, 10.0)):
         (solo_rows, solo_message), = drift_engine([cell], 0.1, 10.0)
@@ -335,8 +343,9 @@ def test_built_in_systems_share_one_force_and_one_potential():
 def test_cells_that_share_the_functions_are_not_probed(tmp_path, monkeypatch):
     """A cell whose force and potential are the first cell's objects is
     accepted without evaluating them: the engine calls the potential only on
-    its (dim, k, B) blocks of samples, never on one start. That holds for a
-    36-cell sweep and for a member built with another start."""
+    its (dim, k, B) blocks of samples, never on the (dim, 2) block of the
+    check. That holds for a 36-cell sweep and for a member built with another
+    start."""
     calls, inside, fpu_potential = [], [], fpu_system(3, 50.0).potential
 
     def potential(q):
