@@ -17,7 +17,7 @@ import argparse
 import functools
 import os
 import sys as _sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO, Union
 
@@ -310,7 +310,7 @@ def cmd_sweep(
         if code == EXIT_IO:
             return code
         any_blowup |= code == EXIT_BLOWUP
-        stat_cols = ["nan"] * 4 if code == EXIT_BLOWUP else map(_fmt, astuple(stats))
+        stat_cols = ["nan"] * 4 if code == EXIT_BLOWUP else map(_fmt, vars(stats).values())
         rows.append([cfg.method, _gfmt(cfg.omega), _gfmt(cfg.h), *stat_cols])
 
     try:

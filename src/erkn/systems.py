@@ -171,7 +171,7 @@ def _fpu_bind(q: np.ndarray, out: np.ndarray) -> Callable[[], None]:
     ahead, behind, slow, stiff = cube[1:], cube[:m], out[:m], out[m:]
 
     def force_into() -> None:
-        np.power(elongate(), 3, cube)
+        np.power(elongate(), _CUBE, cube)
         np.subtract(ahead, behind, slow)
         np.add(ahead, behind, stiff)
 
@@ -193,6 +193,7 @@ def _zero_force(q: np.ndarray) -> np.ndarray:
 
 # the in-place forms, which `step_map` binds to its buffers
 _fpu_force.bind, _zero_force.bind = _fpu_bind, lambda q, out: lambda: out.fill(0.0)
+_CUBE = np.array(3.0)  # the cube's exponent: np.power converts an int exponent on every call
 
 
 def fpu_system(m: int, omega: float) -> System:

@@ -231,14 +231,6 @@ FINITE_TEST_STEPS = 64
 DriftCell = tuple[Method, System]
 
 
-def _same_problem(a: System, b: System) -> bool:  # the rule that `drift_engine` states
-    q = np.stack([b.initial.q, np.sin(1.0 + np.arange(b.partition.dim))], -1)  # q_k = sin k
-    with np.errstate(all="ignore"):  # the potentials first; nan equals nan
-        return (a.partition.d1, a.partition.d2) == (b.partition.d1, b.partition.d2) and all(
-            f is g or np.array_equal(f(q), g(q), equal_nan=True)
-            for f, g in ((a.potential, b.potential), (a.force, b.force)))
-
-
 def drift_engine(
     cells: Sequence[DriftCell], h: float, t_end: float, stride: int = 1
 ) -> list[tuple[np.ndarray, Optional[str]]]:
@@ -248,8 +240,9 @@ def drift_engine(
     q and p are (dim, B) blocks with a column per cell, stacked into one
     (2, dim, B) state that one `step_map` over those columns advances in place.
     The cells share their problem, else ValueError: the first cell's block sizes and
-    potential, then force, each the same object or (wrapped or built apart) equal at
-    the cell's start and at one fixed point; omega and the start may differ. Kinds
+    its potential object, which names the problem, as a System's force is -grad of its
+    potential; no function is evaluated, so a wrapped force (counted, traced) passes.
+    Omega and the start may differ: `dataclasses.replace` one system to vary them. Kinds
     mix: with a kick-first cell the state carries a third row, the half kick that
     closed the last step (`lift`), and a step still makes one force call.
 
@@ -267,12 +260,11 @@ def drift_engine(
     if not cells:
         raise ValueError("need at least one cell")
     methods, systems = zip(*cells)
-    first, same = systems[0], set()  # ids of the systems accepted
+    first, blocks = systems[0], (systems[0].partition.d1, systems[0].partition.d2)
     for m, s in cells:
         drift_check(s, h, t_end, stride)
-        if id(s) not in same and not _same_problem(first, s):
+        if s.potential is not first.potential or (s.partition.d1, s.partition.d2) != blocks:
             raise ValueError(f"{m.name} on {s.label}: not the problem of {first.label}")
-        same.add(id(s))
     stride = min(stride, n := int(round(t_end / h)))  # any stride >= n samples steps 0 and n
     ends: list = [(None, None)] * len(cells)  # samples kept (None: all), blow-up message
     energy: list = []  # (2, k, B) blocks of H and I, one per flush

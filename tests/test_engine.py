@@ -133,15 +133,22 @@ def test_rows_that_blow_up_leave_the_batch_alone(tmp_path):
         assert list(samples[:, 0]) == [i * h for i in range(0, first_bad, 7)]
 
 
+def growth_potential(q: np.ndarray) -> np.ndarray:
+    return -np.sum(q * q * q / 3.0 + q, axis=0)
+
+
+def growth_force(q: np.ndarray) -> np.ndarray:
+    return q * q + 1.0
+
+
 def growth_system(omega: float, q0: float) -> System:
     """One fast coordinate under the force g(q) = q^2 + 1, which is not zero at
     q = 0: at omega = 0.5 and h = 0.1 the start q0 = 1 overflows at step 35,
     and from the zero state again 43 steps later; at omega = 50 the
-    oscillation holds it."""
-    return System(Partition(0, 1, omega),
-                  potential=lambda q: -np.sum(q * q * q / 3.0 + q, axis=0),
-                  force=lambda q: q * q + 1.0, label=f"growth(omega={omega:g})",
-                  initial=State([q0], [0.0]))
+    oscillation holds it. Every omega and start shares the module's two
+    functions, so they are one problem to `drift_engine`."""
+    return System(Partition(0, 1, omega), potential=growth_potential, force=growth_force,
+                  label=f"growth(omega={omega:g})", initial=State([q0], [0.0]))
 
 
 def first_blowup(step, s: State, steps: int):
@@ -273,13 +280,14 @@ def test_an_empty_cell_list_is_refused_by_name():
 def test_cells_of_another_problem_are_refused_by_name():
     """The engine steps every cell with the first cell's force and measures it
     with the first cell's potential, so a cell whose block sizes differ, or
-    whose potential differs at its start or at the fixed point, is refused
-    before any force call: a linear cell from the FPU start, batched after the
-    FPU cell, would read max|dH| 0.2 against 1.6e-14 alone, and a linear cell
-    at rest at q = 0, where both potentials and both forces are 0, would be
-    stepped with the FPU force. Built-in systems share one force and one
-    potential, and a per-system force wrapper gives the same force everywhere,
-    so mixed omegas and wrapped forces still run."""
+    whose potential is another object, is refused before any function call: a
+    linear cell from the FPU start, batched after the FPU cell, would read
+    max|dH| 0.2 against 1.6e-14 alone, and a linear cell at rest at q = 0,
+    where both potentials and both forces are 0, would be stepped with the
+    FPU force. Built-in systems share one force and one potential, and a
+    force is -grad of its potential, so mixed omegas and per-system force
+    wrappers still run: only the first cell's force steps the batch, one call
+    a step and none to check it."""
     calls, method = [], METHODS["ERKN2"]
     fpu = counted_force(fpu_system(3, 50.0), calls)
     others = [
@@ -296,10 +304,12 @@ def test_cells_of_another_problem_are_refused_by_name():
     assert calls == []
     mixed = [(method, fpu), (method, counted_force(fpu_system(3, 200.0), calls))]
     assert all(message is None for _, message in drift_engine(mixed, 0.1, 1.0))
+    assert calls == [(6, 2)] * 10
 
 
 def spring(k: float) -> System:
-    """U = k|q|^2/2 and g = -kq on Partition(1, 1, 10), built afresh per call."""
+    """U = k|q|^2/2 and g = -kq on Partition(1, 1, 10), with functions built
+    afresh per call: each spring is a problem of its own."""
     return System(Partition(1, 1, 10.0), potential=lambda q: 0.5 * k * np.sum(q * q, axis=0),
                   force=lambda q: -k * q, label=f"spring(k={k:g})",
                   initial=State([1.0, 0.1], [0.0, 1.0]))
@@ -308,10 +318,10 @@ def spring(k: float) -> System:
 def test_a_factory_with_another_parameter_is_refused_by_name():
     """Two springs come from one factory, so their functions share their code,
     but k = 4 is not the problem of k = 1: batched after k = 1 it would be
-    stepped and measured as k = 1 (H(0) = 1.505 instead of 3.02). The
-    potentials differ at its start, so it is refused before any force call.
-    Started at rest at q = 0, where both potentials and both forces are 0,
-    they differ at the fixed point, so the pair is refused there too."""
+    stepped and measured as k = 1 (H(0) = 1.505 instead of 3.02). Its
+    potential is another object, so it is refused before any force call, also
+    when both start at rest at q = 0, where both potentials and both forces
+    are 0."""
     calls, method = [], METHODS["ERKN2"]
     springs = [counted_force(spring(k), calls) for k in (1.0, 4.0)]
     at_rest = [dataclasses.replace(s, initial=State([0.0, 0.0], [1.0, 1.0])) for s in springs]
@@ -322,12 +332,28 @@ def test_a_factory_with_another_parameter_is_refused_by_name():
     assert calls == []
 
 
-def test_separately_built_systems_of_one_problem_batch_together():
-    """Two k = 1 springs hold different function objects whose values agree
-    everywhere: they batch, and each equals its solo run byte for byte."""
-    cells = [(METHODS["ERKN2"], spring(1.0)), (resolve("trig:ERKN3"), spring(1.0))]
+def test_one_problem_is_one_system_and_its_replaced_members():
+    """A batch is one problem by object identity: two k = 1 springs built
+    apart hold other function objects, so the second is refused by name with
+    neither function called, though their values agree everywhere. Members
+    of one built spring with another start or another omega
+    (`dataclasses.replace`) batch, and each equals its solo run byte for
+    byte."""
+    calls, method = [], METHODS["ERKN2"]
+    apart = [counted_force(s, calls) for s in (spring(1.0), spring(1.0))]
+    apart = [dataclasses.replace(s, potential=lambda q, u=s.potential: calls.append(q.shape) or u(q))
+             for s in apart]
+    with pytest.raises(ValueError, match=r"^ERKN2 on spring\(k=1\): not the problem of "
+                                         r"spring\(k=1\)$"):
+        drift_engine([(method, s) for s in apart], 0.1, 10.0)
+    assert calls == []
+    base = spring(1.0)
+    members = [base, dataclasses.replace(base, initial=State([0.5, -0.2], [0.3, 0.0])),
+               dataclasses.replace(base, partition=Partition(1, 1, 40.0))]
+    cells = [(m, s) for s in members for m in (method, resolve("trig:ERKN3"))]
     for cell, (rows, message) in zip(cells, drift_engine(cells, 0.1, 10.0)):
         (solo_rows, solo_message), = drift_engine([cell], 0.1, 10.0)
+        assert message is None
         assert (rows.tobytes(), message) == (solo_rows.tobytes(), solo_message)
 
 
@@ -341,11 +367,9 @@ def test_built_in_systems_share_one_force_and_one_potential():
 
 
 def test_cells_that_share_the_functions_are_not_probed(tmp_path, monkeypatch):
-    """A cell whose force and potential are the first cell's objects is
-    accepted without evaluating them: the engine calls the potential only on
-    its (dim, k, B) blocks of samples, never on the (dim, 2) block of the
-    check. That holds for a 36-cell sweep and for a member built with another
-    start."""
+    """The batch check evaluates no function: the engine calls the potential
+    only on its (dim, k, B) blocks of samples. That holds for a 36-cell sweep
+    and for a member built with another start."""
     calls, inside, fpu_potential = [], [], fpu_system(3, 50.0).potential
 
     def potential(q):
@@ -371,15 +395,21 @@ def test_cells_that_share_the_functions_are_not_probed(tmp_path, monkeypatch):
     assert calls and set(calls) == {3}
 
 
+def threshold_potential(q: np.ndarray) -> np.ndarray:
+    return np.zeros(q.shape[1:])
+
+
+def threshold_force(q: np.ndarray) -> np.ndarray:
+    return np.where(q[:1] > 0.0, np.inf, 0.0) * np.ones_like(q)
+
+
 def threshold_system(q0: float) -> System:
     """A free slow coordinate that moves by exactly 1 a step at h = 1 (p = 1),
     under a force that is 0 while it is at most 0 and inf beyond. From
-    q0 = 1.25 - s, ERKN2's stage point passes 0 at step s."""
-    def force(q: np.ndarray) -> np.ndarray:
-        return np.where(q[:1] > 0.0, np.inf, 0.0) * np.ones_like(q)
-
-    return System(Partition(1, 1, 3.0), potential=lambda q: np.zeros(q.shape[1:]),
-                  force=force, label=f"threshold(q0={q0:g})", initial=State([q0, 0.0], [1.0, 0.0]))
+    q0 = 1.25 - s, ERKN2's stage point passes 0 at step s. Every start shares
+    the module's two functions, so they are one problem to `drift_engine`."""
+    return System(Partition(1, 1, 3.0), potential=threshold_potential, force=threshold_force,
+                  label=f"threshold(q0={q0:g})", initial=State([q0, 0.0], [1.0, 0.0]))
 
 
 def test_a_one_stage_column_steps_past_a_non_finite_start_force():
