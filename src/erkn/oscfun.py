@@ -12,7 +12,7 @@ or an ndarray, by libm through numpy: one call each, with the scalar bits.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -54,8 +54,13 @@ def power(x: float | np.ndarray, k: int) -> float | np.ndarray:
     return np.float_power(x, k) if isinstance(x, np.ndarray) else x ** k
 
 
+def expand_pairs(part: Partition, pairs: Sequence[float]) -> np.ndarray:
+    """One row of diagonals per (slow, fast) pair of the flat sequence pairs:
+    the slow value on the d1 slow entries and the fast one on the d2 fast ones."""
+    return np.array(pairs, dtype=float).reshape(-1, 2).repeat((part.d1, part.d2), axis=1)
+
+
 def block_expand(part: Partition, nu: float, *fs: Callable[[float], float]) -> np.ndarray:
     """Diagonals of f(h*Omega) at nu = h*omega, one row per f in fs: f(0) on
     the slow block and f(nu) on the fast one, from one expansion of the pairs."""
-    pairs = np.array([(f(0.0), f(nu)) for f in fs], dtype=float)
-    return np.repeat(pairs, (part.d1, part.d2), axis=1)
+    return expand_pairs(part, [y for f in fs for y in (f(0.0), f(nu))])

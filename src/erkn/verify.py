@@ -7,6 +7,7 @@ same properties. Drift series back the long-horizon energy experiments.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -48,6 +49,17 @@ Method = Union[ErknMethod, TrigMethod]
 FD_EPS = 1e-5  # the central-difference step of `symplecticity_defect`
 
 
+@functools.lru_cache(maxsize=8)
+def _probe_constants(dim: int, fd_eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """fd_eps (I, -I), a perturbation per column, and J = ((0, I), (-I, 0)), read-only."""
+    eye = np.eye(2 * dim)
+    jj = np.zeros((2 * dim, 2 * dim))
+    jj[:dim, dim:], jj[dim:, :dim] = eye[:dim, :dim], -eye[:dim, :dim]
+    moves = fd_eps * np.hstack((eye, -eye))
+    moves.flags.writeable = jj.flags.writeable = False
+    return moves, jj
+
+
 def _structure_pair(m: Method, sys: System, h: float, s: State,
                     fd_eps: float) -> tuple[float, float]:
     """The (adjoint, symplecticity) defects of the three probes, from one step of s."""
@@ -56,14 +68,12 @@ def _structure_pair(m: Method, sys: System, h: float, s: State,
     part = sys.partition
     z, c, d = part.check_state(s), m.coefficients(part, h), part.dim
     # one step of 4*dim perturbed states, (q, p) + fd_eps e_j in column j, then - fd_eps e_j,
-    # and of z itself in the last column, which the adjoint probe steps back
-    eye, col = np.eye(2 * d), z.reshape(2 * d, 1)
-    block = np.hstack((col + fd_eps * np.hstack((eye, -eye)), col)).reshape(2, d, 4 * d + 1)
+    # and a copy of z in the last column (z + 0.0 would turn -0.0 into +0.0) to step back
+    (moves, jj), col = _probe_constants(d, fd_eps), z.reshape(2 * d, 1)
+    block = np.concatenate((col + moves, col), axis=1).reshape(2, d, 4 * d + 1)
     column = c._make(None if x is None else x[:, None] for x in c)  # broadcast over the block
     y = advance(sys.force, column, block)
     jac = (y[:, :, : 2 * d] - y[:, :, 2 * d : 4 * d]).reshape(2 * d, 2 * d) / (2.0 * fd_eps)
-    jj = np.zeros((2 * d, 2 * d))
-    jj[:d, d:], jj[d:, :d] = eye[:d, :d], -eye[:d, :d]
     adjoint = _state_dev(advance(sys.force, m.coefficients(part, -h), y[:, :, 4 * d]), z)
     return adjoint, float(np.max(np.abs(jac.T @ jj @ jac - jj)))
 
@@ -86,12 +96,14 @@ def structure_defects(m: Method, sys: System, h: float, s: State) -> list[Defect
             DefectReport(m.name, "symplecticity", sp, h, sys.label)]
 
 
+@functools.lru_cache(maxsize=16)
 def non_resonance_max_N(h: float, omega: float, c: float, k_max: int = 1000) -> int:
     """Largest N with |sin(k h omega / 2)| >= c sqrt(h) for every k <= N, for
     the double h*omega that `check` prints and the exact phases k*(h*omega)/2.
 
     Returns 0 if the bound already fails at k = 1; the scan stops at k_max.
     A phase k h omega / 2 that overflows before the scan stops raises ValueError.
+    The last 16 results are kept: the methods checked at one (h, omega) share a scan.
     """
     if not (all(map(math.isfinite, (h, omega, h * omega, c))) and h > 0.0 and c > 0.0):
         raise ValueError("need finite h, omega, h*omega and c with h > 0 and c > 0")
@@ -217,9 +229,9 @@ def sample_count(h: float, t_end: float, stride: int) -> int:
 
 
 # Samples one cell, or the cells of one sweep together, may take: rows of 40 B, 4 GB
-# in all. A `drift_engine` call peaks at 2.01x its rows for one cell of 200 001 samples
-# (7.6 -> 15.3 MiB; 1.48x for 8 cells of 50 001, 1.41x for 64), as its energies, t and
-# dH/dI live beside the rows (tracemalloc, ERKN2, FPU m = 3): near 8 GB for one cell.
+# in all. A `drift_engine` call peaks at 1.82x its rows for one cell of 200 001 samples
+# (7.6 -> 13.9 MiB; 1.46x for 8 cells of 50 001, 1.41x for 64), as its energies live
+# beside the rows (tracemalloc, ERKN2, FPU m = 3): near 7.3 GB for one cell.
 MAX_SAMPLES = 10**8
 # Steps one cell may take: 1-2 days at 11-18 us a step (m = 3, stride 1, a shared Xeon core).
 MAX_STEPS = 10**10
@@ -235,8 +247,9 @@ def drift_engine(
     cells: Sequence[DriftCell], h: float, t_end: float, stride: int = 1
 ) -> list[tuple[np.ndarray, Optional[str]]]:
     """Integrate B cells (method, system) that share h, t_end and stride, each
-    from its system's initial state, at once, each checked by `drift_check`
-    (ValueError before any step) and stepped by its method's coefficients at h:
+    from its system's initial state, at once, each system object checked by
+    `drift_check` at its first cell (ValueError before any step, in cell order)
+    and each cell stepped by its method's coefficients at h:
     q and p are (dim, B) blocks with a column per cell, stacked into one
     (2, dim, B) state that one `step_map` over those columns advances in place.
     The cells share their problem, else ValueError: the first cell's block sizes and
@@ -261,8 +274,11 @@ def drift_engine(
         raise ValueError("need at least one cell")
     methods, systems = zip(*cells)
     first, blocks = systems[0], (systems[0].partition.d1, systems[0].partition.d2)
+    checked = set()  # ids of the systems that passed drift_check
     for m, s in cells:
-        drift_check(s, h, t_end, stride)
+        if id(s) not in checked:
+            drift_check(s, h, t_end, stride)
+            checked.add(id(s))
         if s.potential is not first.potential or (s.partition.d1, s.partition.d2) != blocks:
             raise ValueError(f"{m.name} on {s.label}: not the problem of {first.label}")
     stride = min(stride, n := int(round(t_end / h)))  # any stride >= n samples steps 0 and n
@@ -314,11 +330,11 @@ def drift_engine(
                     break
         flush(k)
         energy = np.concatenate(energy, axis=1)
-        t, rows = np.minimum(np.arange(energy.shape[1]) * stride, n) * h, []
-        for j, (kept, message) in enumerate(ends):
-            e = energy[:, :kept, j]  # H and I, less their first values for dH and dI
-            rows.append((np.column_stack((t[:kept], *e, *(e - e[:, :1]))), message))
-    return rows
+        rows = np.empty((len(cells), energy.shape[1], 5))  # (t, H, I, dH, dI) per cell
+        rows[:, :, 0] = np.minimum(np.arange(energy.shape[1]) * stride, n) * h
+        rows[:, :, 1:3] = energy.T
+        np.subtract(rows[:, :, 1:3], rows[:, :1, 1:3], out=rows[:, :, 3:])
+    return [(rows[j, :kept], message) for j, (kept, message) in enumerate(ends)]
 
 
 def drift_series(
@@ -345,23 +361,14 @@ def drift_stats(rows: np.ndarray) -> DriftStats:
     A ratio near 1 means no secular growth. Edge rules: with a zero first
     window the ratio is 1.0 if the second is zero too, else inf.
     """
+    rows = np.asarray(rows, dtype=float)
     if len(rows) == 0:
         raise ValueError("empty drift series")
-    t, _, _, dh, di = np.asarray(rows, dtype=float).T
-    abs_dh = np.abs(dh)
-    abs_di = np.abs(di)
-    first = t <= 0.5 * (t[0] + t[-1])
-
-    def window_ratio(vals: np.ndarray) -> float:
-        a = float(np.max(vals[first]))
-        b = float(np.max(vals[~first])) if (~first).any() else 0.0
-        if a == 0.0:
-            return 1.0 if b == 0.0 else math.inf
-        return b / a
-
-    return DriftStats(
-        max_dH=float(np.max(abs_dh)),
-        max_dI=float(np.max(abs_di)),
-        window_ratio_H=window_ratio(abs_dh),
-        window_ratio_I=window_ratio(abs_di),
-    )
+    t, dev = rows[:, 0], np.abs(rows[:, 3:5])  # |dH| and |dI|
+    first = t <= 0.5 * (t[0] + t[-1])  # rows need not be sorted by t
+    second = dev[~first]
+    a = dev[first].max(axis=0).tolist()  # the windows' maxima of |dH| and |dI|
+    b = second.max(axis=0).tolist() if len(second) else (0.0, 0.0)
+    top = [math.nan if math.isnan(x + y) else max(x, y) for x, y in zip(a, b)]  # nan stays
+    return DriftStats(*top, *((1.0 if y == 0.0 else math.inf) if x == 0.0 else y / x
+                              for x, y in zip(a, b)))

@@ -38,6 +38,7 @@ from erkn import (
 from erkn import cli, systems, verify
 from erkn.cli import EXIT_BLOWUP, EXIT_OK, ExperimentConfig, cmd_run, cmd_sweep
 from erkn.methods import Coefficients, lift
+from erkn.verify import drift_check as verify_drift_check
 
 ALL_METHODS = list(METHODS) + ["trig:ERKN2", "trig:ERKN3", "trig:ERKN4"]
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -305,6 +306,31 @@ def test_cells_of_another_problem_are_refused_by_name():
     mixed = [(method, fpu), (method, counted_force(fpu_system(3, 200.0), calls))]
     assert all(message is None for _, message in drift_engine(mixed, 0.1, 1.0))
     assert calls == [(6, 2)] * 10
+
+
+def test_each_system_object_is_checked_once_in_cell_order(monkeypatch):
+    """`drift_check` runs once per system object, at its first cell, and the
+    refusals keep the cells' order: a cell of another problem is refused
+    before a later cell whose start fails `drift_check`, and a cell whose
+    start fails is refused before a later cell of another problem."""
+    checked, method = [], METHODS["ERKN2"]
+    monkeypatch.setattr(verify, "drift_check",
+                        lambda s, *args: checked.append(s.label) or verify_drift_check(s, *args))
+    fpu = fpu_system(3, 50.0)
+    stiff = dataclasses.replace(fpu, partition=Partition(3, 3, 200.0), label="stiff")
+    cells = [(method, fpu), (METHODS["ERKN3"], fpu), (method, stiff), (resolve("trig:ERKN3"), fpu),
+             (METHODS["ERKN5"], stiff)]
+    assert all(message is None for _, message in drift_engine(cells, 0.1, 1.0))
+    assert checked == [fpu.label, "stiff"]
+    nan_start = dataclasses.replace(fpu, initial=State(np.full(6, np.nan), np.zeros(6)),
+                                    label="nan start")
+    other = fpu_system(4, 50.0)
+    for cells, refusal in (
+            ([(method, fpu), (method, other), (method, nan_start)], "not the problem of"),
+            ([(method, fpu), (method, fpu), (method, nan_start), (method, other)],
+             "system 'nan start' has a non-finite initial state")):
+        with pytest.raises(ValueError, match=refusal):
+            drift_engine(cells, 0.1, 1.0)
 
 
 def spring(k: float) -> System:

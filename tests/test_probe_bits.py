@@ -17,7 +17,7 @@ import io
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erkn import (
@@ -227,8 +227,17 @@ def conjugacy_values(m, sys, h, s, n) -> list:
 
 # ---- the tests ----------------------------------------------------------------------
 
+def at_rest(sys: System) -> State:
+    return State(np.zeros(sys.partition.dim), np.zeros(sys.partition.dim))
+
+
+# nu = h*omega and the stage's c1 nu on either side of sinc's Taylor switch at 1e-2, h < 0 too
 @PROPERTY
 @given(operating_points())
+@example((fpu_system(2, 1.0), -0.009, 0.9, at_rest(fpu_system(2, 1.0))))
+@example((fpu_system(2, 0.6), -0.02, 0.4, at_rest(fpu_system(2, 0.6))))
+@example((fpu_system(1, 0.5), 0.0201, 0.9, at_rest(fpu_system(1, 0.5))))
+@example((fpu_system(3, 2.0), 0.005, 0.5, at_rest(fpu_system(3, 2.0))))
 def test_coefficients_and_rotations_equal_the_per_function_expansion(point):
     sys, h, c1, _ = point
     part = sys.partition
@@ -249,6 +258,25 @@ def test_structure_defects_equal_the_state_level_route(point):
         want = outcome(old_structure_defects, m, sys, h, s)
         assert outcome(defect_values, m, sys, h, s) == want, m.name
         assert outcome(probe_values, m, sys, h, s) == want, m.name
+
+
+def kink_system(part: Partition) -> System:
+    """U = sum |q|, so g(q) = -sign(q), the sign of a zero included."""
+    return System(part, lambda q: np.sum(np.abs(q), axis=0),
+                  lambda q: -np.copysign(np.ones_like(q), q), "kink")
+
+
+def test_structure_defects_from_a_negative_zero_equal_the_state_level_route():
+    """The adjoint probe steps back a copy of the state itself, with each -0.0
+    kept (adding a zero perturbation would make it +0.0); on the kink force a
+    lost sign flips a kick, which moves the adjoint defect by up to |h|."""
+    sys, c1 = kink_system(Partition(2, 2, 30.0)), 0.3
+    s = State([-0.0, 0.0, -0.0, 0.25], [0.0, -0.0, -0.0, -0.5])
+    for h in (0.1, -0.05):
+        for m in probe_methods(c1):
+            want = outcome(old_structure_defects, m, sys, h, s)
+            assert outcome(defect_values, m, sys, h, s) == want, m.name
+            assert outcome(probe_values, m, sys, h, s) == want, m.name
 
 
 @PROPERTY

@@ -1,11 +1,14 @@
 """Structure probes, assumption checkers, and drift bookkeeping."""
 
 import dataclasses
+import io
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erkn import (
     METHODS,
@@ -39,6 +42,7 @@ from erkn import (
     trig_step_composed,
     verify,
 )
+from erkn import cli
 
 
 def test_adjoint_defect_separates_the_family(fpu3):
@@ -194,6 +198,39 @@ def test_non_resonance_validation():
     # h*omega is finite, but the scan reaches a phase k*h*omega/2 that is not
     with pytest.raises(ValueError, match=r"the phase k\*h\*omega/2 = 4\*5e\+307 overflows"):
         non_resonance_max_N(1.0, 1e308, 1e-3)
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@PROPERTY
+@given(st.floats(1e-3, 1.0), st.floats(0.0, 1e4) | st.sampled_from([0.0, 2.0 * math.pi]),
+       st.floats(1e-3, 2.0))
+def test_the_kept_non_resonance_counts_equal_the_scan(h, nu, c):
+    """A kept count is the uncached scan's, on its first call and after."""
+    omega, scan = nu / h, non_resonance_max_N.__wrapped__
+    want = scan(h, omega, c)
+    assert non_resonance_max_N(h, omega, c) == want
+    assert non_resonance_max_N(h, omega, c) == want
+
+
+def test_an_input_that_raises_raises_again():
+    for args in ((0.0, 50.0, 1.0), (0.1, math.nan, 1.0), (1.0, 1e308, 1e-3)):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                non_resonance_max_N(*args)
+
+
+def test_one_probe_point_makes_one_phase_scan():
+    """`check` and `assumption_report` for every registry method at one
+    (h, omega) share one scan: one miss, and eleven hits."""
+    h, omega = 0.0731, 91.37  # a point no other test asks for
+    before = non_resonance_max_N.cache_info()
+    for name, m in METHODS.items():
+        assert cli.cmd_check(name, h=h, omega=omega, out=io.StringIO()) == cli.EXIT_OK
+        assumption_report(m, h, omega)
+    after = non_resonance_max_N.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 11)
 
 
 def test_sigma_of_impulse_method_is_one():
@@ -396,6 +433,58 @@ def test_drift_stats_edge_rules():
     assert drift_stats(grow).window_ratio_H == math.inf
     with pytest.raises(ValueError):
         drift_stats([])
+
+
+def old_drift_stats(rows):
+    """The implementation that came before, four maxima and an any() per series."""
+    if len(rows) == 0:
+        raise ValueError("empty drift series")
+    t, _, _, dh, di = np.asarray(rows, dtype=float).T
+    abs_dh = np.abs(dh)
+    abs_di = np.abs(di)
+    first = t <= 0.5 * (t[0] + t[-1])
+
+    def window_ratio(vals):
+        a = float(np.max(vals[first]))
+        b = float(np.max(vals[~first])) if (~first).any() else 0.0
+        if a == 0.0:
+            return 1.0 if b == 0.0 else math.inf
+        return b / a
+
+    return verify.DriftStats(float(np.max(abs_dh)), float(np.max(abs_di)),
+                             window_ratio(abs_dh), window_ratio(abs_di))
+
+
+def stats_outcome(fn, rows):
+    """fn(rows) as float.hex strings, or the type of the error it raises."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        try:
+            return [x.hex() for x in dataclasses.astuple(fn(rows))]
+        except ValueError as exc:
+            return type(exc)
+
+
+ODD = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.floats(-10.0, 10.0) | ODD, st.floats(-1e3, 1e3) | ODD,
+                          st.floats(-1e3, 1e3) | ODD),
+                min_size=1, max_size=12),
+       st.sampled_from(["random", "zero first", "zero second", "sorted"]))
+def test_drift_stats_equals_the_former_implementation(draws, shape):
+    """Random rows (unsorted t, nan and inf anywhere, a single row), and rows
+    whose first or second window is all zero; the former implementation, on
+    the same rows, is the oracle, bit for bit and error for error."""
+    rows = np.array([(t, 1.0, 2.0, dh, di) for t, dh, di in draws])
+    if shape != "random":
+        rows[:, 0] = np.arange(len(rows), dtype=float)
+        first = rows[:, 0] <= 0.5 * (len(rows) - 1)
+        if shape != "sorted":
+            rows[first if shape == "zero first" else ~first, 3:] = 0.0
+    want = stats_outcome(old_drift_stats, rows)
+    assert stats_outcome(drift_stats, rows) == want
+    assert stats_outcome(drift_stats, rows.tolist()) == want
 
 
 def test_trig_scheme_runs_through_drift_series(fpu3):
