@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erkn import (
@@ -472,6 +472,9 @@ ODD = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
                           st.floats(-1e3, 1e3) | ODD),
                 min_size=1, max_size=12),
        st.sampled_from(["random", "zero first", "zero second", "sorted"]))
+@example([(0.0, 0.5, -0.25)], "random")  # a single row
+@example([(0.0, 1.0, 0.0), (1.0, math.inf, 2.0), (2.0, math.nan, 1.0)], "zero first")
+@example([(3.0, 1.0, 0.0), (1.0, -2.0, math.nan), (2.0, 0.0, -math.inf)], "random")
 def test_drift_stats_equals_the_former_implementation(draws, shape):
     """Random rows (unsorted t, nan and inf anywhere, a single row), and rows
     whose first or second window is all zero; the former implementation, on
