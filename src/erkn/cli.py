@@ -61,7 +61,7 @@ class ExperimentConfig:
     h: float = 0.1
     t_end: float = 1000.0
     stride: int = 1
-    output: Optional[str] = None
+    output: Optional[str] = None  # None: `default_output_name`
 
 
 def _fmt(x: float) -> str:
@@ -178,7 +178,8 @@ def _run_cells(
         rows, blowup = results.pop(i)
         if blowup is not None:
             print(f"warning: {blowup}; writing partial series", file=err)
-        output = cfg.output or default_output_name(cfg.method, cfg.omega, cfg.h)
+        output = cfg.output if cfg.output is not None else default_output_name(
+            cfg.method, cfg.omega, cfg.h)  # '' fails to open, as any unwritable path does
         try:
             write_drift_csv(output, rows)
         except OSError as exc:

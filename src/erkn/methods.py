@@ -28,7 +28,7 @@ from .systems import Partition, State, System
 # Default nu grid for the algebraic condition checkers: 0(0.1)10.
 NU_GRID: tuple[float, ...] = tuple(0.1 * k for k in range(101))
 
-COEFF_TOL = 1e-12
+COEFF_TOL = 1e-12  # the largest residual at which a structure check passes
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def _on_grid(f: Callable, nu: np.ndarray) -> np.ndarray:
         np.fromiter(map(f, nu.tolist()), float, len(nu))
 
 
-def structure_reports(m: ErknMethod, grid: Sequence[float] = NU_GRID, tol: float = COEFF_TOL
+def structure_reports(m: ErknMethod, grid: Sequence[float] = NU_GRID
                       ) -> tuple[SymmetryReport, SymplecticityReport]:
     """`check_symmetry` and `check_symplecticity` of m on the grid, from one
     evaluation of each weight on the grid array (`_on_grid`); the residuals
@@ -270,29 +270,27 @@ def structure_reports(m: ErknMethod, grid: Sequence[float] = NU_GRID, tol: float
         sym, sp = (float(np.max(r, initial=first, where=~np.isnan(r))) for first, r in (
             (abs(2.0 * m.bbar(0.0) - b0), np.abs((1.0 + cosine) * bbar - sn * b)),
             (0.0, np.where(rb > rbb, rb, rbb))))  # a nan first stays, as r > nan is false
-    return (SymmetryReport(m.c1 == 0.5 and sym <= tol, sym),
-            SymplecticityReport(sp <= tol, b0, sp))
+    return (SymmetryReport(m.c1 == 0.5 and sym <= COEFF_TOL, sym),
+            SymplecticityReport(sp <= COEFF_TOL, b0, sp))
 
 
-def check_symmetry(m: ErknMethod, grid: Sequence[float] = NU_GRID,
-                   tol: float = COEFF_TOL) -> SymmetryReport:
+def check_symmetry(m: ErknMethod, grid: Sequence[float] = NU_GRID) -> SymmetryReport:
     """Exact-coefficient symmetry test.
 
-    Passes iff c1 = 1/2 and (1 + cos nu) bbar(nu) = sinc(nu) b(nu) on the
-    grid; nu = 0 is always included.
+    Passes iff c1 = 1/2 and (1 + cos nu) bbar(nu) = sinc(nu) b(nu) to
+    COEFF_TOL on the grid; nu = 0 is always included.
     """
-    return structure_reports(m, grid, tol)[0]
+    return structure_reports(m, grid)[0]
 
 
-def check_symplecticity(m: ErknMethod, grid: Sequence[float] = NU_GRID,
-                        tol: float = COEFF_TOL) -> SymplecticityReport:
+def check_symplecticity(m: ErknMethod, grid: Sequence[float] = NU_GRID) -> SymplecticityReport:
     """Exact-coefficient symplecticity test.
 
     The constant d1 is pinned at nu = 0 (where the cosine factor is 1);
-    passes iff m's weights equal those of `symplectic(m.name, m.c1, d1)` on
-    the grid.
+    passes iff m's weights equal those of `symplectic(m.name, m.c1, d1)` to
+    COEFF_TOL on the grid.
     """
-    return structure_reports(m, grid, tol)[1]
+    return structure_reports(m, grid)[1]
 
 
 @functools.lru_cache(maxsize=len(METHODS))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -50,58 +51,54 @@ FD_EPS = 1e-5  # the central-difference step of `symplecticity_defect`
 
 
 @functools.lru_cache(maxsize=8)
-def _probe_constants(dim: int, fd_eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """fd_eps (I, -I), a perturbation per column, and J = ((0, I), (-I, 0)), read-only."""
+def _probe_constants(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """FD_EPS (I, -I), a perturbation per column, and J = ((0, I), (-I, 0)), read-only."""
     eye = np.eye(2 * dim)
     jj = np.zeros((2 * dim, 2 * dim))
     jj[:dim, dim:], jj[dim:, :dim] = eye[:dim, :dim], -eye[:dim, :dim]
-    moves = fd_eps * np.hstack((eye, -eye))
+    moves = FD_EPS * np.hstack((eye, -eye))
     moves.flags.writeable = jj.flags.writeable = False
     return moves, jj
 
 
-def _structure_pair(m: Method, sys: System, h: float, s: State,
-                    fd_eps: float) -> tuple[float, float]:
+def _structure_pair(m: Method, sys: System, h: float, s: State) -> tuple[float, float]:
     """The (adjoint, symplecticity) defects of the three probes, from one step of s."""
-    if not (math.isfinite(fd_eps) and fd_eps > 0.0):
-        raise ValueError("fd_eps must be finite and > 0")
     part = sys.partition
     z, c, d = part.check_state(s), m.coefficients(part, h), part.dim
-    # one step of 4*dim perturbed states, (q, p) + fd_eps e_j in column j, then - fd_eps e_j,
+    # one step of 4*dim perturbed states, (q, p) + FD_EPS e_j in column j, then - FD_EPS e_j,
     # and a copy of z in the last column (z + 0.0 would turn -0.0 into +0.0) to step back
-    (moves, jj), col = _probe_constants(d, fd_eps), z.reshape(2 * d, 1)
+    (moves, jj), col = _probe_constants(d), z.reshape(2 * d, 1)
     block = np.concatenate((col + moves, col), axis=1).reshape(2, d, 4 * d + 1)
     column = c._make(None if x is None else x[:, None] for x in c)  # broadcast over the block
     y = advance(sys.force, column, block)
-    jac = (y[:, :, : 2 * d] - y[:, :, 2 * d : 4 * d]).reshape(2 * d, 2 * d) / (2.0 * fd_eps)
+    jac = (y[:, :, : 2 * d] - y[:, :, 2 * d : 4 * d]).reshape(2 * d, 2 * d) / (2.0 * FD_EPS)
     adjoint = _state_dev(advance(sys.force, m.coefficients(part, -h), y[:, :, 4 * d]), z)
     return adjoint, float(np.max(np.abs(jac.T @ jj @ jac - jj)))
 
 
 def adjoint_defect(m: Method, sys: System, h: float, s: State) -> float:
     """Sup-norm of step(-h)(step(h)(s)) - s; zero for a symmetric map."""
-    return _structure_pair(m, sys, h, s, FD_EPS)[0]
+    return _structure_pair(m, sys, h, s)[0]
 
 
-def symplecticity_defect(m: Method, sys: System, h: float, s: State,
-                         fd_eps: float = FD_EPS) -> float:
-    """max |M^T J M - J| for the step Jacobian M by central differences."""
-    return _structure_pair(m, sys, h, s, fd_eps)[1]
+def symplecticity_defect(m: Method, sys: System, h: float, s: State) -> float:
+    """max |M^T J M - J| for the step Jacobian M by central differences of step FD_EPS."""
+    return _structure_pair(m, sys, h, s)[1]
 
 
 def structure_defects(m: Method, sys: System, h: float, s: State) -> list[DefectReport]:
     """Both probes bundled for reporting, from one step of s."""
-    adjoint, sp = _structure_pair(m, sys, h, s, FD_EPS)
+    adjoint, sp = _structure_pair(m, sys, h, s)
     return [DefectReport(m.name, "adjoint", adjoint, h, sys.label),
             DefectReport(m.name, "symplecticity", sp, h, sys.label)]
 
 
 @functools.lru_cache(maxsize=16)
-def non_resonance_max_N(h: float, omega: float, c: float, k_max: int = 1000) -> int:
+def non_resonance_max_N(h: float, omega: float, c: float) -> int:
     """Largest N with |sin(k h omega / 2)| >= c sqrt(h) for every k <= N, for
     the double h*omega that `check` prints and the exact phases k*(h*omega)/2.
 
-    Returns 0 if the bound already fails at k = 1; the scan stops at k_max.
+    Returns 0 if the bound already fails at k = 1; the scan stops at k = 1000.
     A phase k h omega / 2 that overflows before the scan stops raises ValueError.
     The last 16 results are kept: the methods checked at one (h, omega) share a scan.
     """
@@ -115,7 +112,7 @@ def non_resonance_max_N(h: float, omega: float, c: float, k_max: int = 1000) -> 
         return math.sin(p) * math.cos(e) + math.cos(p) * math.sin(e)
     n = 0
     try:
-        while n < k_max and abs(sin_phase(n + 1)) >= threshold:
+        while n < 1000 and abs(sin_phase(n + 1)) >= threshold:
             n += 1
     except OverflowError:  # (k * half).as_integer_ratio() of inf
         raise ValueError(f"the phase k*h*omega/2 = {n + 1}*{half:g} overflows") from None
@@ -207,9 +204,12 @@ class DriftStats:
 
 def drift_check(sys: System, h: float, t_end: float, stride: int = 1) -> None:
     """ValueError, raised before any step, if a drift series of sys cannot run: a bad h,
-    t_end or stride, a missing or non-finite start (naming the system), or h*omega = inf."""
+    t_end or stride (an integer >= 1), a missing or non-finite start (naming the system),
+    or h*omega = inf."""
     if not (0.0 < h <= t_end and math.isfinite(t_end / h)):  # round(t_end/h) steps
         raise ValueError("need 0 < h <= t_end with t_end and t_end/h finite")
+    if not isinstance(stride, numbers.Integral):  # samples are taken at integer steps
+        raise ValueError(f"stride must be an integer, got {stride!r}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     if round(t_end / h) > MAX_STEPS or sample_count(h, t_end, stride) > MAX_SAMPLES:

@@ -31,6 +31,8 @@ from erkn import (
     upsilon_from,
 )
 from erkn.cli import ExperimentConfig, cmd_run
+from erkn.methods import COEFF_TOL
+from erkn.verify import FD_EPS
 
 SYMMETRIC = ("ERKN2", "ERKN3", "ERKN4")
 SYMPLECTIC = ("ERKN2", "ERKN5", "ERKN6")
@@ -41,8 +43,8 @@ def test_criterion_01_registry_classification(acceptance_log):
     ok = True
     worst = 0.0
     for name, m in METHODS.items():
-        sym = check_symmetry(m, tol=1e-12)
-        sp = check_symplecticity(m, tol=1e-12)
+        sym = check_symmetry(m)
+        sp = check_symplecticity(m)
         ok &= sym.passed == (name in SYMMETRIC)
         ok &= sp.passed == (name in SYMPLECTIC)
         if sym.passed:
@@ -50,6 +52,7 @@ def test_criterion_01_registry_classification(acceptance_log):
         if sp.passed:
             worst = max(worst, sp.max_residual)
     dt = time.monotonic() - t0
+    assert COEFF_TOL == 1e-12  # the checkers' one tolerance
     acceptance_log(
         f"1 registry classification: {'PASS' if ok and dt < 1 else 'FAIL'} "
         f"(6/6 rows, worst passing residual {worst:.2e} <= 1e-12, {dt:.2f}s < 1s)"
@@ -118,15 +121,14 @@ def test_criterion_04_structure_probes(acceptance_log, fpu3):
     adj_other = min(
         adjoint_defect(METHODS[k], fpu3, 0.1, s) for k in ("ERKN1", "ERKN5", "ERKN6")
     )
-    sp_good = max(
-        symplecticity_defect(METHODS[k], fpu3, 0.1, s, fd_eps=1e-5) for k in SYMPLECTIC
-    )
+    sp_good = max(symplecticity_defect(METHODS[k], fpu3, 0.1, s) for k in SYMPLECTIC)
     rough = fpu_system(3, 2.0)
     sp_bad = min(
-        symplecticity_defect(METHODS[k], rough, 0.5, rough.initial, fd_eps=1e-5)
+        symplecticity_defect(METHODS[k], rough, 0.5, rough.initial)
         for k in ("ERKN1", "ERKN3", "ERKN4")
     )
     dt = time.monotonic() - t0
+    assert FD_EPS == 1e-5  # the symplecticity probe's one central-difference step
     ok = adj_sym <= 1e-11 and adj_other >= 1e-8 and sp_good <= 1e-5 and sp_bad >= 1e-4
     acceptance_log(
         f"4 structure probes: {'PASS' if ok and dt < 5 else 'FAIL'} "

@@ -143,6 +143,14 @@ def test_cmd_run_io_error(tmp_path):
     assert cmd_run(cfg, err=io.StringIO()) == EXIT_IO
 
 
+def test_an_empty_output_path_fails_to_write(tmp_path, monkeypatch, capsys):
+    """`-o ''` names a path that cannot be opened, not the default CSV name."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--method", "ERKN2", "--t-end", "1", "-o", ""]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: cannot write : ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cmd_run_blow_up_writes_partial_series(tmp_path):
     cfg, out = run_cfg(tmp_path, method="ERKN2", omega=50.0, h=1.0, t_end=50.0)
     err = io.StringIO()

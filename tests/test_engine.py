@@ -273,6 +273,51 @@ def test_one_force_call_per_engine_step(names, lifts):
     assert calls == [(6, len(names))] * (steps + lifts)
 
 
+@pytest.mark.parametrize("stride", [2.5, 4.0])
+def test_a_stride_that_is_not_an_integer_is_refused_before_any_step(stride):
+    """Samples are taken at integer steps. A stride of 2.5 would drop every
+    sample but step 0, and 4.0 would fail only where a blow-up's samples are
+    counted, after every step."""
+    calls, method = [], METHODS["ERKN2"]
+    for sys_ in (fpu_system(3, 50.0), growth_system(0.5, 1.0)):
+        sys_ = counted_force(sys_, calls)
+        with pytest.raises(ValueError, match=f"^stride must be an integer, got {stride}$"):
+            drift_engine([(method, sys_)], 0.1, 30.0, stride)
+        with pytest.raises(ValueError, match=f"^stride must be an integer, got {stride}$"):
+            drift_series(method, sys_, 0.1, 1.0, stride)
+    assert calls == []
+
+
+def test_a_numpy_integer_stride_is_an_integer():
+    method = METHODS["ERKN2"]
+    cells = [(method, growth_system(0.5, 1.0)), (method, growth_system(50.0, 0.0))]
+    for (rows, message), (want, want_message) in zip(drift_engine(cells, 0.1, 30.0, np.int64(4)),
+                                                     drift_engine(cells, 0.1, 30.0, 4)):
+        assert (rows.tobytes(), message) == (want.tobytes(), want_message)
+    fpu = fpu_system(3, 50.0)
+    assert (drift_series(method, fpu, 0.1, 1.0, np.int64(4)).tobytes()
+            == drift_series(method, fpu, 0.1, 1.0, 4).tobytes())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 300), st.integers(1, 400))
+@example(1, 1)
+@example(12, 4)
+@example(12, 12)
+@example(12, 13)
+@example(300, 400)
+def test_the_samples_are_every_stride_th_step_and_the_last(n, stride):
+    """The t column is h (0, stride, 2 stride, ...) followed by the last step n,
+    which is not repeated when stride divides n; a stride of n or more samples
+    steps 0 and n. h = 1/4 keeps every i h exact."""
+    h = 0.25
+    (rows, message), = drift_engine([(METHODS["ERKN2"], linear_system(Partition(1, 1, 5.0)))],
+                                    h, n * h, stride)
+    assert message is None
+    assert rows[:, 0].tolist() == [i * h for i in range(0, n, stride)] + [n * h]
+    assert len(rows) == verify.sample_count(h, n * h, stride)
+
+
 def test_an_empty_cell_list_is_refused_by_name():
     with pytest.raises(ValueError, match="^need at least one cell$"):
         drift_engine([], 0.1, 1.0)

@@ -1,6 +1,7 @@
 """Structure probes, assumption checkers, and drift bookkeeping."""
 
 import dataclasses
+import inspect
 import io
 import math
 import re
@@ -19,6 +20,8 @@ from erkn import (
     ZeroCoefficient,
     adjoint_defect,
     assumption_report,
+    check_symmetry,
+    check_symplecticity,
     conjugacy_check,
     drift_check,
     drift_engine,
@@ -43,6 +46,7 @@ from erkn import (
     verify,
 )
 from erkn import cli
+from erkn.methods import structure_reports
 
 
 def test_adjoint_defect_separates_the_family(fpu3):
@@ -100,12 +104,6 @@ def test_symplecticity_defect_is_a_loop_of_single_steps():
             for h in (0.1, -0.37):
                 want = loop_symplecticity_defect(m, sys, h, s)
                 assert symplecticity_defect(m, sys, h, s) == want, (m.name, sys.label, h)
-
-
-def test_symplecticity_defect_validates_eps(fpu3):
-    for eps in (0.0, -1e-5, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            symplecticity_defect(METHODS["ERKN2"], fpu3, 0.1, fpu3.initial, fd_eps=eps)
 
 
 def test_probes_reject_a_state_of_another_size(fpu3):
@@ -185,7 +183,18 @@ def test_non_resonance_below_1e6_counts_as_the_rounded_phases():
 
 
 def test_non_resonance_caps_at_k_max():
-    assert non_resonance_max_N(0.1, 50.0, 1e-12, k_max=500) == 500
+    """The scan stops at k = 1000, the bound `check` states."""
+    assert non_resonance_max_N(0.1, 50.0, 1e-12) == 1000
+
+
+def test_structure_checks_take_no_tolerance_or_step():
+    """Each check runs at its one setting: COEFF_TOL, FD_EPS and k <= 1000. The
+    probes take (m, sys, h, s) and the coefficient checkers (m, grid)."""
+    for f in (adjoint_defect, symplecticity_defect, structure_defects):
+        assert list(inspect.signature(f).parameters) == ["m", "sys", "h", "s"], f
+    for f in (structure_reports, check_symmetry, check_symplecticity):
+        assert list(inspect.signature(f).parameters) == ["m", "grid"], f
+    assert list(inspect.signature(non_resonance_max_N).parameters) == ["h", "omega", "c"]
 
 
 def test_non_resonance_validation():
