@@ -215,9 +215,8 @@ def cmd_check(
     omega: float = ExperimentConfig.omega,
     out: Optional[TextIO] = None,
     err: Optional[TextIO] = None,
-    **bounds: float,
 ) -> int:
-    """One method's structure and assumption report; `bounds` go to `assumption_report`."""
+    """One method's structure and assumption report."""
     out = out if out is not None else _sys.stdout
     err = err if err is not None else _sys.stderr
     if method not in METHODS:
@@ -225,7 +224,7 @@ def cmd_check(
         return EXIT_USAGE
     m = METHODS[method]
     try:
-        rep = assumption_report(m, h, omega, **bounds)
+        rep = assumption_report(m, h, omega)
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_USAGE
@@ -248,11 +247,11 @@ def cmd_check(
         print(f"kick filter: available (Upsilon(0) = {sp.d1:g})", file=out)
     print(
         f"non-resonance: max N = {rep.max_N} "
-        f"(|sin(k*h*omega/2)| >= {rep.c:g}*sqrt(h) up to k = N)",
+        f"(|sin(k*h*omega/2)| >= {verify.NONRES_C:g}*sqrt(h) up to k = N)",
         file=out,
     )
     print(
-        f"stepsize floor: h*omega = {rep.h_omega:g} >= c0 = {rep.c0:g}: "
+        f"stepsize floor: h*omega = {rep.h_omega:g} >= c0 = {verify.C0:g}: "
         f"{'pass' if rep.h_condition_pass else 'fail'}",
         file=out,
     )
@@ -262,7 +261,7 @@ def cmd_check(
         print(
             f"sigma: sigma(0) = {rep.sigma_at_0:.12g}, "
             f"sigma(h*omega) = {rep.sigma_at_nu:.12g}, "
-            f"bounds [{rep.sigma_lo:g}, {rep.sigma_hi:g}]: "
+            f"bounds [{verify.SIGMA_BOUNDS[0]:g}, {verify.SIGMA_BOUNDS[1]:g}]: "
             f"{'pass' if rep.sigma_pass else 'fail'}",
             file=out,
         )
@@ -290,17 +289,17 @@ def cmd_sweep(
     if not methods or not omegas or not hs:
         print("error: sweep needs at least one method, omega, and h", file=err)
         return EXIT_USAGE
-    outdir = Path(outdir)
     cells = _prepare([
         ExperimentConfig(method=name, problem=problem, m=m, omega=omega, h=h, t_end=t_end,
-                         stride=stride, output=str(outdir / default_output_name(name, omega, h)))
+                         stride=stride,
+                         output=str(Path(outdir, default_output_name(name, omega, h))))
         for name in methods for omega in omegas for h in hs
     ], err)
     if cells is None:
         return EXIT_USAGE
 
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
+    try:  # not Path(outdir): that reads '' as the working directory, and '' fails here
+        os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         print(f"error: cannot create {outdir}: {exc}", file=err)
         return EXIT_IO
@@ -314,15 +313,16 @@ def cmd_sweep(
         stat_cols = ["nan"] * 4 if code == EXIT_BLOWUP else map(_fmt, vars(stats).values())
         rows.append([cfg.method, _gfmt(cfg.omega), _gfmt(cfg.h), *stat_cols])
 
+    summary = Path(outdir, "summary.csv")
     try:
-        with open(outdir / "summary.csv", "w", newline="") as fh:
+        with open(summary, "w", newline="") as fh:
             fh.write("method,omega,h,max_dH,max_dI,window_ratio_H,window_ratio_I\n")
             for row in rows:
                 fh.write(",".join(row) + "\n")
     except OSError as exc:
         print(f"error: cannot write summary: {exc}", file=err)
         return EXIT_IO
-    print(f"wrote {outdir / 'summary.csv'} ({len(rows)} rows)", file=out)
+    print(f"wrote {summary} ({len(rows)} rows)", file=out)
     return EXIT_BLOWUP if any_blowup else EXIT_OK
 
 
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # An option not given stays out of the parsed namespace, so its default
-    # lives in ExperimentConfig, cmd_check or assumption_report alone. These
+    # lives in ExperimentConfig or cmd_check alone. These
     # trajectory settings are shared by run and sweep.
     trajectory = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     trajectory.add_argument("--problem", choices=["fpu", "linear"])
@@ -369,10 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("method")
     check.add_argument("--h", type=float)
     check.add_argument("--omega", type=float)
-    check.add_argument("--c", type=float, help="non-resonance constant")
-    check.add_argument("--c0", type=float, help="stepsize floor constant")
-    check.add_argument("--sigma-lo", type=float)
-    check.add_argument("--sigma-hi", type=float)
 
     sweep = sub.add_parser("sweep", parents=[trajectory], help="run a method x omega x h grid")
     sweep.add_argument("--methods", required=True, type=_str_list, help="comma separated")

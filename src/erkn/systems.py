@@ -8,6 +8,7 @@ for p. The model problem is q'' + Omega^2 q = g(q) with g = -grad U.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,6 +24,8 @@ class Partition:
     omega: float
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.d1, numbers.Integral) and isinstance(self.d2, numbers.Integral)):
+            raise ValueError(f"need integer block sizes, got d1 = {self.d1!r}, d2 = {self.d2!r}")
         if self.d1 < 0 or self.d2 < 1:
             raise ValueError("need d1 >= 0 and d2 >= 1")
         # omega = 0 is allowed: it collapses the fast block onto the slow one,
@@ -132,9 +135,16 @@ def fpu_initial(m: int, omega: float) -> State:
         raise ValueError("need m >= 1")
     if omega <= 0.0:
         raise ValueError("initial data needs omega > 0")
-    z = np.zeros((2, 2 * m))  # rows q and p
-    z[:, 0] = 1.0
-    z[:, m] = (1.0 / omega, 1.0)
+    return _start(Partition(d1=m, d2=m, omega=omega))
+
+
+def _start(part: Partition) -> State:
+    """The designated start of the built-in problems: unit data on the first slow
+    coordinate, if any, and (1/omega, 1) on the first fast one ((1, 1) at omega = 0)."""
+    z = np.zeros((2, part.dim))  # rows q and p
+    if part.d1 > 0:
+        z[:, 0] = 1.0
+    z[:, part.d1] = (1.0 / part.omega if part.omega > 0.0 else 1.0, 1.0)
     return State.of(z)
 
 
@@ -222,17 +232,12 @@ def fpu_system(m: int, omega: float) -> System:
 def linear_system(part: Partition) -> System:
     """Force-free problem; its exact flow is the blockwise rotation.
 
-    The designated initial state mirrors the quartic-chain pattern: unit
-    data on the first slow coordinate, (1/omega, 1) on the first fast one.
+    The designated initial state is the quartic chain's (`_start`).
     """
-    z = np.zeros((2, part.dim))  # rows q and p
-    if part.d1 > 0:
-        z[:, 0] = 1.0
-    z[:, part.d1] = (1.0 / part.omega if part.omega > 0.0 else 1.0, 1.0)
     return System(
         partition=part,
         potential=_zero_potential,
         force=_zero_force,
         label=f"linear(d1={part.d1}, d2={part.d2}, omega={part.omega:g})",
-        initial=State.of(z),
+        initial=_start(part),
     )

@@ -48,6 +48,11 @@ class DefectReport:
 
 Method = Union[ErknMethod, TrigMethod]
 FD_EPS = 1e-5  # the central-difference step of `symplecticity_defect`
+# The settings `assumption_report` checks at: |sin(k h omega / 2)| >= NONRES_C sqrt(h),
+# h*omega >= C0, and |sigma| within SIGMA_BOUNDS at 0 and at h*omega.
+NONRES_C = 1.0
+C0 = 0.1
+SIGMA_BOUNDS = (0.1, 10.0)
 
 
 @functools.lru_cache(maxsize=8)
@@ -139,42 +144,32 @@ def sigma(m: ErknMethod, nu: float) -> float:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Stepsize assumptions at one (h, omega) operating point."""
+    """Stepsize assumptions at one (h, omega) operating point, at NONRES_C, C0
+    and SIGMA_BOUNDS."""
 
     max_N: int
     h_omega: float
-    c: float
-    c0: float
     h_condition_pass: bool
     sigma_at_0: float
     sigma_at_nu: float
-    sigma_lo: float
-    sigma_hi: float
     sigma_pass: bool
     sigma_error: Optional[str] = None
 
 
-def assumption_report(
-    m: ErknMethod,
-    h: float,
-    omega: float,
-    c: float = 1.0,
-    c0: float = 0.1,
-    sigma_lo: float = 0.1,
-    sigma_hi: float = 10.0,
-) -> AssumptionReport:
-    """Evaluate the non-resonance count, the stepsize floor, and the sigma bound:
-    it passes iff sigma (or -sigma) lies in [sigma_lo, sigma_hi] at both nu = 0
-    and h*omega. A weight that vanishes there fails it and sets sigma_error;
-    a non-finite number (h*omega too), h <= 0, omega < 0 or c <= 0 raises ValueError."""
+def assumption_report(m: ErknMethod, h: float, omega: float) -> AssumptionReport:
+    """Evaluate the non-resonance count at c = NONRES_C, the floor h*omega >= C0,
+    and the sigma bound: it passes iff sigma (or -sigma) lies in SIGMA_BOUNDS at
+    both nu = 0 and h*omega. A weight that vanishes there fails it and sets
+    sigma_error; a non-finite number (h*omega too), h <= 0 or omega < 0 raises
+    ValueError."""
     nu = h * omega
-    if not (all(map(math.isfinite, (h, omega, nu, c, c0, sigma_lo, sigma_hi)))
-            and h > 0.0 and omega >= 0.0 and c > 0.0):
-        raise ValueError("need finite numbers with h > 0, omega >= 0 and c > 0")
-    max_n = non_resonance_max_N(h, omega, c)
+    if not (all(map(math.isfinite, (h, omega, nu))) and h > 0.0 and omega >= 0.0):
+        raise ValueError("need finite numbers with h > 0 and omega >= 0")
+    max_n = non_resonance_max_N(h, omega, NONRES_C)
+    lo, hi = SIGMA_BOUNDS
     try:
         s0, s1 = sigma(m, 0.0), sigma(m, nu)
-        s_pass, s_err = any(all(sigma_lo <= sign * s <= sigma_hi for s in (s0, s1))
+        s_pass, s_err = any(all(lo <= sign * s <= hi for s in (s0, s1))
                             for sign in (1.0, -1.0)), None
     except ZeroCoefficient as exc:
         s0 = s1 = math.nan
@@ -182,13 +177,9 @@ def assumption_report(
     return AssumptionReport(
         max_N=max_n,
         h_omega=nu,
-        c=c,
-        c0=c0,
-        h_condition_pass=nu >= c0,
+        h_condition_pass=nu >= C0,
         sigma_at_0=s0,
         sigma_at_nu=s1,
-        sigma_lo=sigma_lo,
-        sigma_hi=sigma_hi,
         sigma_pass=s_pass,
         sigma_error=s_err,
     )

@@ -144,10 +144,18 @@ def test_cmd_run_io_error(tmp_path):
 
 
 def test_an_empty_output_path_fails_to_write(tmp_path, monkeypatch, capsys):
-    """`-o ''` names a path that cannot be opened, not the default CSV name."""
+    """`-o ''` names a path that cannot be opened, not the default CSV name, and
+    `--outdir ''` a directory that cannot be created, not the working directory;
+    a sweep's usage errors are still found first."""
     monkeypatch.chdir(tmp_path)
     assert main(["run", "--method", "ERKN2", "--t-end", "1", "-o", ""]) == EXIT_IO
     assert capsys.readouterr().err.startswith("error: cannot write : ")
+    sweep = ["sweep", "--methods", "ERKN2", "--omegas", "50", "--t-end", "1", "--outdir", ""]
+    assert main([*sweep, "--hs", "0.1"]) == EXIT_IO
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot create : "), err
+    assert main([*sweep, "--hs", "nan"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ERKN2: ")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -482,9 +490,8 @@ def cli_argv(draw, outdir: str) -> list[str]:
     numbers = st.sampled_from(CLI_NUMBERS) | st.sampled_from(CLI_EDGES)
     command = draw(st.sampled_from(["run", "check", "sweep"]))
     if command == "check":
-        options = ["h", "omega", "c", "c0", "sigma-lo", "sigma-hi"]
         return ["check", draw(st.sampled_from(CLI_NAMES)),
-                *(f"--{name}={draw(numbers)!r}" for name in options if draw(st.booleans()))]
+                *(f"--{name}={draw(numbers)!r}" for name in ("h", "omega") if draw(st.booleans()))]
     hs = draw(st.lists(numbers, min_size=1, max_size=1 if command == "run" else 2))
     positive = [h for h in hs if 0.0 < h < math.inf]
     if positive and draw(st.integers(0, 3)) < 3:
@@ -635,10 +642,9 @@ INVALID_NUMBERS = [
     ("check", ["ERKN2", "--h", "0"]),
     ("check", ["ERKN2", "--h", "-0.1"]),
     ("check", ["ERKN2", "--h", "nan"]),
-    ("check", ["ERKN2", "--c", "0"]),
     ("check", ["ERKN2", "--omega", "inf"]),
     ("check", ["ERKN2", "--h", "1e200", "--omega", "1e200"]),  # h*omega overflows
-    ("check", ["ERKN2", "--h", "1", "--omega", "1e306", "--c", "0.001"]),  # k*h*omega/2 does
+    ("check", ["ERKN2", "--h", "0.7", "--omega", "1.7136160292334497e308"]),  # k*h*omega/2 does
 ]
 
 
@@ -660,6 +666,9 @@ def test_main_usage_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
         assert not out.is_file() and not (out.is_dir() and any(out.iterdir())), argv
+    # the last check row is refused by the overflow of its phase scan at c = 1
+    with pytest.raises(ValueError, match="overflows"):
+        verify.non_resonance_max_N(0.7, 1.7136160292334497e308, 1.0)
     # the force-free problem needs no fast start, so omega = 0 stays valid
     argv = ["run", "--method", "ERKN2", "--problem", "linear", "--omega", "0", "--t-end", "1"]
     assert main([*argv, "-o", str(tmp_path / "lin.csv")]) == EXIT_OK
@@ -688,13 +697,16 @@ def test_main_check_smoke(capsys):
     text = capsys.readouterr().out
     assert "symmetric: pass" in text
     assert "symplectic: fail" in text
-    # each bound flag reaches cmd_check and shows in the report
-    argv = ["check", "ERKN2", "--c", "2", "--c0", "0.5", "--sigma-lo", "0.2", "--sigma-hi", "5"]
-    assert main(argv) == EXIT_OK
+    # the report states the fixed settings, which no flag sets
+    assert main(["check", "ERKN2"]) == EXIT_OK
     text = capsys.readouterr().out
-    assert ">= 2*sqrt(h) up to k = N" in text
-    assert "h*omega = 5 >= c0 = 0.5: pass" in text
-    assert "bounds [0.2, 5]: pass" in text
+    assert ">= 1*sqrt(h) up to k = N" in text
+    assert "h*omega = 5 >= c0 = 0.1: pass" in text
+    assert "bounds [0.1, 10]: pass" in text
+    for flag in ("--c", "--c0", "--sigma-lo", "--sigma-hi"):
+        assert main(["check", "ERKN2", flag, "2"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: erkn ") and "Traceback" not in err, (flag, err)
 
 
 def test_main_check_reports_a_vanishing_weight(capsys):

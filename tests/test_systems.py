@@ -25,6 +25,13 @@ def test_partition_validation():
         Partition(d1=-1, d2=1, omega=1.0)
     # omega = 0 degenerates to a plain second-order system, still allowed
     assert Partition(d1=1, d2=1, omega=0.0).omega == 0.0
+    # block sizes are integers: a float one is refused, even a whole one, and a numpy one is not
+    for d1 in (2.5, 2.0):
+        with pytest.raises(ValueError, match="need integer block sizes"):
+            Partition(d1=d1, d2=3, omega=50.0)
+        with pytest.raises(ValueError, match="need integer block sizes"):
+            Partition(d1=3, d2=d1, omega=50.0)
+    assert Partition(d1=np.int64(2), d2=3, omega=50.0).dim == 5
 
 
 def test_state_copies_its_arrays():
@@ -62,10 +69,14 @@ def test_fpu_initial_vectors():
     s = fpu_initial(3, 50.0)
     np.testing.assert_array_equal(s.q, [1.0, 0.0, 0.0, 1.0 / 50.0, 0.0, 0.0])
     np.testing.assert_array_equal(s.p, [1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need m >= 1"):
         fpu_initial(0, 50.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="initial data needs omega > 0"):
         fpu_initial(3, 0.0)
+    # a non-finite omega is refused, as by the partition of every system
+    for omega in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            fpu_initial(3, omega)
 
 
 def test_fpu_initial_energies():

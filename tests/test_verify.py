@@ -40,6 +40,7 @@ from erkn import (
     stepper,
     strang_lnl_step,
     structure_defects,
+    symplectic,
     symplecticity_defect,
     trig_method_from,
     trig_step_composed,
@@ -276,8 +277,10 @@ def test_sigma_rejects_vanishing_weights():
 
 def test_sigma_bound_check():
     assert assumption_report(METHODS["ERKN2"], 0.1, 50.0).sigma_pass
-    # sigma(ERKN4, 5) = 4.18 lies outside [0.1, 2]
-    assert not assumption_report(METHODS["ERKN4"], 0.1, 50.0, sigma_hi=2.0).sigma_pass
+    # sigma(ERKN1, 20) = -12.65 lies outside [0.1, 10] while sigma(ERKN1, 0) = 1
+    rep = assumption_report(METHODS["ERKN1"], 0.1, 200.0)
+    assert rep.sigma_at_nu == pytest.approx(-12.645469530909654, rel=1e-13)
+    assert not rep.sigma_pass
 
 
 def test_assumption_report_fields():
@@ -291,17 +294,18 @@ def test_assumption_report_fields():
     assert rep.sigma_error is None
 
 
-@pytest.mark.parametrize("name", list(METHODS))
-@pytest.mark.parametrize("lo, hi", [(0.1, 10.0), (0.1, 2.0), (-5.0, -0.5)])
-def test_assumption_report_evaluates_sigma_once_per_point(name, lo, hi):
+@pytest.mark.parametrize("name", [*METHODS, "S"])
+@pytest.mark.parametrize("lo, hi", [verify.SIGMA_BOUNDS, (0.1, 2.0), (-5.0, -0.5)])
+def test_assumption_report_evaluates_sigma_once_per_point(monkeypatch, name, lo, hi):
     """sigma(0) and sigma(h*omega) are evaluated once each (one b and one bbar
     call per point), and the verdict is the bound test on those two values:
-    sigma or -sigma in [lo, hi] at both."""
-    m, calls = METHODS[name], []
+    sigma or -sigma in SIGMA_BOUNDS at both, here [lo, hi]. S has sigma = -1."""
+    m, calls = {**METHODS, "S": symplectic("S", 0.5, -1.0)}[name], []
     counted = dataclasses.replace(m, b=lambda nu: calls.append(nu) or m.b(nu))
+    monkeypatch.setattr(verify, "SIGMA_BOUNDS", (lo, hi))
     for h, omega in ((0.1, 50.0), (0.03, 333.0), (0.2, 7.0)):
         calls.clear()
-        rep = assumption_report(counted, h, omega, sigma_lo=lo, sigma_hi=hi)
+        rep = assumption_report(counted, h, omega)
         assert calls == [0.0, h * omega]
         s0, s1 = sigma(m, 0.0), sigma(m, h * omega)
         assert rep.sigma_pass == (lo <= s0 <= hi and lo <= s1 <= hi
@@ -309,16 +313,16 @@ def test_assumption_report_evaluates_sigma_once_per_point(name, lo, hi):
         assert (rep.sigma_at_0, rep.sigma_at_nu) == (s0, s1)
 
 
+# the third column, which set c, c0 and the sigma bounds until they became constants,
+# keeps each row's test id
 @pytest.mark.parametrize("h, omega, bounds", [
     (math.nan, 50.0, {}), (0.0, 50.0, {}), (-0.1, 50.0, {}), (0.1, -1.0, {}),
-    (0.1, math.inf, {}), (1e200, 1e200, {}), (0.1, 50.0, {"c": 0.0}), (0.1, 50.0, {"c": -1.0}),
-    (0.1, 50.0, {"c0": math.nan}), (0.1, 50.0, {"sigma_lo": math.nan}),
-    (0.1, 50.0, {"sigma_hi": math.nan}),
+    (0.1, math.inf, {}), (1e200, 1e200, {}),
 ])
 def test_assumption_report_refuses_invalid_input(h, omega, bounds):
-    msg = "need finite numbers with h > 0, omega >= 0 and c > 0"
+    msg = "need finite numbers with h > 0 and omega >= 0"
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-        assumption_report(METHODS["ERKN2"], h, omega, **bounds)
+        assumption_report(METHODS["ERKN2"], h, omega)
 
 
 def test_assumption_report_survives_resonant_nu():
